@@ -13,7 +13,6 @@ from .road import (
     DetectorReading,
     RoadConfig,
     TrafficSim,
-    Vehicle,
     detector_reading,
 )
 
@@ -26,7 +25,6 @@ __all__ = [
     "MobilParams",
     "RoadConfig",
     "TrafficSim",
-    "Vehicle",
     "detector_reading",
     "idm_acceleration",
 ]

@@ -47,12 +47,12 @@ def neighbor_maps(s: np.ndarray, lane: np.ndarray, n_lanes: int):
     ascending position order; lead[i]/fol[i] are same-lane neighbor indices
     or -1.
     """
-    n = s.size
-    lead = np.full(n, -1, dtype=np.int64)
-    fol = np.full(n, -1, dtype=np.int64)
+    lead = np.full(s.size, -1, dtype=np.int64)
+    fol = lead.copy()
     members = []
     for k in range(n_lanes):
-        m = np.flatnonzero(lane == k)
+        # flatnonzero without its ravel wrapper: this runs several times a step
+        m = np.nonzero(lane == k)[0]
         members.append(m)
         if m.size >= 2:
             lead[m[:-1]] = m[1:]
@@ -69,35 +69,36 @@ def propose_lane_changes(
     s: np.ndarray,
     v: np.ndarray,
     v0: np.ndarray,
-    lane: np.ndarray,
     accel: np.ndarray,
     headway: np.ndarray,
-    n_lanes: int,
+    maps,
     idm_p: IdmParams,
     p: MobilParams,
 ):
     """Candidate lane changes for the current state.
 
     s must be ascending.  accel is each vehicle's current acceleration and
-    headway its current effective time headway (arrays aligned with s).
+    headway its current effective time headway (arrays aligned with s);
+    maps is neighbor_maps() of the same state.
 
     Returns:
-        (idx, target, incentive) arrays, at most one entry per vehicle (the
-        better-scoring side wins when both neighbors qualify).  Incentive is
-        reported as the surplus over the side's threshold so that scores of
-        leftward and rightward moves rank against each other fairly.
+        (idx, target, incentive) arrays, idx ascending and at most one entry
+        per vehicle.  When both neighbors qualify the larger surplus wins,
+        and on an exact tie the lower target lane.  Incentive is reported as
+        the surplus over the side's threshold so that scores of leftward and
+        rightward moves rank against each other fairly.
     """
-    if n_lanes < 2:
-        return (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, float))
-    members, lead, fol = neighbor_maps(s, lane, n_lanes)
+    members, lead, fol = maps
+    n_lanes = len(members)
     length = idm_p.vehicle_length
 
-    best_inc = {}
-    best_tgt = {}
+    picked = []
     for src_lane in range(n_lanes):
         src = members[src_lane]
         if src.size == 0:
             continue
+        best_inc = np.full(src.size, -np.inf)
+        best_tgt = np.full(src.size, -1, dtype=np.int64)
         for tgt_lane in (src_lane - 1, src_lane + 1):
             if not 0 <= tgt_lane < n_lanes:
                 continue
@@ -159,19 +160,17 @@ def propose_lane_changes(
                 & (nf_new >= -p.safe_braking)
                 & (surplus > 0.0)
             )
-            for j in np.flatnonzero(admissible):
-                i = int(src[j])
-                inc = float(surplus[j])
-                if inc > best_inc.get(i, -np.inf):
-                    best_inc[i] = inc
-                    best_tgt[i] = tgt_lane
+            better = admissible & (surplus > best_inc)
+            best_inc[better] = surplus[better]
+            best_tgt[better] = tgt_lane
+        keep = best_tgt >= 0
+        picked.append((src[keep], best_tgt[keep], best_inc[keep]))
 
-    if not best_inc:
+    if not picked:
         return (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, float))
-    idx = np.array(sorted(best_inc), dtype=np.int64)
-    target = np.array([best_tgt[i] for i in idx], dtype=np.int64)
-    incentive = np.array([best_inc[i] for i in idx], dtype=float)
-    return idx, target, incentive
+    idx, target, incentive = (np.concatenate(col) for col in zip(*picked))
+    order = np.argsort(idx)
+    return idx[order], target[order], incentive[order]
 
 
 def revalidate_change(

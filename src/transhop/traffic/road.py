@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .idm import IdmParams, idm_acceleration
-from .mobil import MobilParams, propose_lane_changes, revalidate_change
+from .mobil import MobilParams, neighbor_maps, propose_lane_changes, revalidate_change
 
 _FREE_GAP = 1.0e9
 _MIN_ENTRY_SPEED = 1.0
@@ -117,19 +117,6 @@ class RoadConfig:
             raise ValueError("equipped_fraction must lie in [0, 1]")
         if self.desired_speed_floor <= 0.0 or self.desired_speed_mean <= 0.0:
             raise ValueError("desired speeds must be positive")
-
-
-@dataclass(frozen=True)
-class Vehicle:
-    """Read-only snapshot of one vehicle in shared road coordinates."""
-
-    vid: int
-    direction: int
-    lane: int
-    x: float
-    speed: float
-    desired_speed: float
-    equipped: bool
 
 
 @dataclass(frozen=True)
@@ -266,17 +253,16 @@ class DirectionState:
             headway[inside] += b.extra_headway
         return headway
 
-    def _accel(self) -> np.ndarray:
-        n = self.n
-        if n == 0:
-            return np.empty(0, dtype=float)
-        gap = np.full(n, _FREE_GAP)
-        lead_v = self.v.copy()
-        for k in range(self.cfg.n_lanes):
-            m = np.flatnonzero(self.lane == k)
-            if m.size >= 2:
-                gap[m[:-1]] = self.s[m[1:]] - self.s[m[:-1]] - self.cfg.idm.vehicle_length
-                lead_v[m[:-1]] = self.v[m[1:]]
+    def _neighbor_maps(self):
+        return neighbor_maps(self.s, self.lane, self.cfg.n_lanes)
+
+    def _accel(self, lead: np.ndarray) -> np.ndarray:
+        """IDM accelerations; lead is neighbor_maps()'s leader index per vehicle."""
+        gap = self.s[lead] - self.s - self.cfg.idm.vehicle_length
+        lead_v = self.v[lead]
+        free = lead < 0  # first in its lane: nothing ahead
+        gap[free] = _FREE_GAP
+        lead_v[free] = self.v[free]
         return idm_acceleration(
             self.v, self.v0, gap, lead_v, self.cfg.idm, self.effective_headway()
         )
@@ -311,12 +297,13 @@ class DirectionState:
             self._permute(perm)
 
     def _check_collisions(self, t: float):
-        for k in range(self.cfg.n_lanes):
-            m = np.flatnonzero(self.lane == k)
+        members, _, _ = self._neighbor_maps()
+        for k, m in enumerate(members):
             if m.size < 2:
                 continue
-            gaps = np.diff(self.s[m]) - self.cfg.idm.vehicle_length
-            bad = np.flatnonzero(gaps < 0.0)
+            sm = self.s[m]
+            gaps = sm[1:] - sm[:-1] - self.cfg.idm.vehicle_length
+            bad = np.nonzero(gaps < 0.0)[0]
             if bad.size:
                 i = m[bad[0]]
                 j = m[bad[0] + 1]
@@ -329,11 +316,11 @@ class DirectionState:
     def _lane_pass(self):
         if self.cfg.n_lanes < 2 or self.n == 0:
             return
+        maps = self._neighbor_maps()
         headway = self.effective_headway()
-        acc = self._accel()
+        acc = self._accel(maps[1])
         idx, target, incentive = propose_lane_changes(
-            self.s, self.v, self.v0, self.lane, acc, headway,
-            self.cfg.n_lanes, self.cfg.idm, self.cfg.mobil,
+            self.s, self.v, self.v0, acc, headway, maps, self.cfg.idm, self.cfg.mobil,
         )
         if idx.size == 0:
             return
@@ -383,9 +370,9 @@ class DirectionState:
         if not self._pending:
             return
         inserted_rows = []
+        members, _, _ = self._neighbor_maps()
         open_lanes = {}
-        for k in range(self.cfg.n_lanes):
-            m = np.flatnonzero(self.lane == k)
+        for k, m in enumerate(members):
             if m.size:
                 tail = int(m[0])
                 open_lanes[k] = (
@@ -494,7 +481,7 @@ class TrafficSim:
         t_new = self.t + dt
         for d in self.directions.values():
             if d.n:
-                acc = d._accel()
+                acc = d._accel(d._neighbor_maps()[1])
                 d._advance(acc, dt)
                 d._resort()
             else:
@@ -519,23 +506,3 @@ class TrafficSim:
         steps = max(0, round(duration / self.cfg.dt))
         for _ in range(steps):
             self.step()
-
-    def vehicles(self, direction=None):
-        dirs = [direction] if direction else [1, 2]
-        out = []
-        for k in dirs:
-            d = self.directions[k]
-            xs = d.x
-            for i in range(d.n):
-                out.append(
-                    Vehicle(
-                        vid=int(d.vid[i]),
-                        direction=k,
-                        lane=int(d.lane[i]),
-                        x=float(xs[i]),
-                        speed=float(d.v[i]),
-                        desired_speed=float(d.v0[i]),
-                        equipped=bool(d.equipped[i]),
-                    )
-                )
-        return out

@@ -45,9 +45,9 @@ class TestFreeFlow:
         sim = quiet_sim()
         sim.state(1).seed_vehicle(x=100.0, lane=0, speed=25.0, desired_speed=25.0)
         sim.run(100.0)
-        veh = sim.vehicles(1)[0]
-        assert veh.speed == pytest.approx(25.0, abs=1e-9)
-        assert veh.x == pytest.approx(100.0 + 25.0 * 100.0, abs=1e-6)
+        d = sim.state(1)
+        assert d.v[0] == pytest.approx(25.0, abs=1e-9)
+        assert d.x[0] == pytest.approx(100.0 + 25.0 * 100.0, abs=1e-6)
 
     def test_relaxes_to_desired_speed(self):
         sim = quiet_sim()
@@ -65,9 +65,9 @@ class TestFreeFlow:
         sim = quiet_sim()
         sim.state(2).seed_vehicle(x=15000.0, lane=0, speed=25.0, desired_speed=25.0)
         sim.run(40.0)
-        veh = sim.vehicles(2)[0]
-        assert veh.direction == 2
-        assert veh.x == pytest.approx(15000.0 - 25.0 * 40.0, abs=1e-6)
+        d = sim.state(2)
+        assert d.direction == 2
+        assert d.x[0] == pytest.approx(15000.0 - 25.0 * 40.0, abs=1e-6)
 
 
 class TestCarFollowing:
@@ -108,8 +108,8 @@ class TestLaneChanging:
         fast = d.seed_vehicle(x=250.0, lane=0, speed=30.0, desired_speed=33.0)
         sim.run(30.0)
         assert d.lane_changes >= 1
-        by_vid = {v.vid: v for v in sim.vehicles(1)}
-        assert by_vid[fast].x > max(v.x for v in sim.vehicles(1) if v.vid != fast)
+        is_fast = d.vid == fast
+        assert d.x[is_fast][0] > d.x[~is_fast].max()
 
     def test_single_lane_never_changes(self):
         sim = quiet_sim(n_lanes=1)
