@@ -279,10 +279,6 @@ class DistributionCurve:
     probabilities: np.ndarray
     params: dict = field(default_factory=dict)
 
-    @property
-    def points(self):
-        return list(zip(self.taus.tolist(), self.probabilities.tolist()))
-
 
 def cdf_function(quantity: str, tc: TrafficConditions, cp: CommParams):
     """Return the cumulative curve for one of P1 | P2 | P3 | P3dist as a callable."""

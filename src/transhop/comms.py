@@ -78,7 +78,6 @@ class CommsConfig:
     min_distance: float = 1000.0
     landmark_x: float | None = None
     broadcast_interval: float = 0.0
-    track_all_relays: bool = False
     track_all_deliveries: bool = False
     jam_detection: bool = False
     jam: JamThresholds = field(default_factory=JamThresholds)
@@ -118,10 +117,9 @@ def _slot_in(start: float, t_prev: float, t_now: float, interval: float) -> bool
 
 
 class _Track:
-    """Progress of one relay carrying one message."""
+    """Progress of the relay carrying one message."""
 
-    __slots__ = ("relay_vid", "pickup_time", "tau1", "tau2", "tau3",
-                 "receiver_vid", "delivery_position", "dead")
+    __slots__ = ("relay_vid", "pickup_time", "tau1", "tau2", "tau3", "dead")
 
     def __init__(self, relay_vid: int, pickup_time: float, tau1: float):
         self.relay_vid = relay_vid
@@ -129,8 +127,6 @@ class _Track:
         self.tau1 = tau1
         self.tau2 = math.nan
         self.tau3 = math.nan
-        self.receiver_vid = -1
-        self.delivery_position = math.nan
         self.dead = False
 
     @property
@@ -143,12 +139,11 @@ class _Track:
 
 
 class _ActiveMessage:
-    __slots__ = ("msg", "tracks", "relay_vids", "delivered_to", "source_alive")
+    __slots__ = ("msg", "track", "delivered_to", "source_alive")
 
     def __init__(self, msg: Message):
         self.msg = msg
-        self.tracks = []
-        self.relay_vids = set()
+        self.track: _Track | None = None
         self.delivered_to = set()
         self.source_alive = True
 
@@ -172,8 +167,7 @@ class CommsEngine:
 
     Call after_step(sim) once after every sim.step().  Records accumulate
     in .records (first delivery per message), .deliveries (every reception
-    when track_all_deliveries is on), .events (creations, hops,
-    availability, deliveries), and the per-stage sample lists.
+    when track_all_deliveries is on), and the per-stage sample lists.
     """
 
     def __init__(self, sim: TrafficSim, cfg: CommsConfig):
@@ -184,7 +178,6 @@ class CommsEngine:
         self.messages: dict[int, Message] = {}
         self.records: list[TransmissionRecord] = []
         self.deliveries: list[Delivery] = []
-        self.events: list[tuple] = []
         self.tau1_samples: list[float] = []
         self.tau2_samples: list[float] = []
         self.tau3_samples: list[float] = []
@@ -193,7 +186,6 @@ class CommsEngine:
         self.dead_source_exit = 0
         self.dead_relay_exit = 0
         self._active: dict[int, _ActiveMessage] = {}
-        self._finished_tracks: list[tuple] = []
         self._next_id = 0
         self._last_t = sim.t
         self._pending_fronts: list[tuple] = []
@@ -224,7 +216,6 @@ class CommsEngine:
         self.messages[msg.id] = msg
         self._active[msg.id] = _ActiveMessage(msg)
         self.created += 1
-        self.events.append((t, "created", msg.id, position, source_vid))
         return msg
 
     def _jam_hook(self, sim: TrafficSim, t: float):
@@ -273,122 +264,98 @@ class CommsEngine:
 
         r = self.cfg.broadcast_range
         interval = self.cfg.broadcast_interval
+        all_deliveries = self.cfg.track_all_deliveries
         finished = []
         for mid, am in self._active.items():
             msg = am.msg
 
-            # stage 1: source broadcasts, looking for (more) relays
-            wants_relay = am.source_alive and (
-                not am.tracks or self.cfg.track_all_relays
-            )
-            if wants_relay:
+            # stage 1: the source broadcasts until the nearest relay takes it
+            if am.track is None and am.source_alive:
                 si = idx1.find(msg.source_vid)
                 if si < 0:
                     am.source_alive = False
-                else:
+                elif _slot_in(msg.creation_time, t_prev, t_now, interval):
                     xs = float(x1[si])
-                    if _slot_in(msg.creation_time, t_prev, t_now, interval):
-                        lo = int(np.searchsorted(xe2, xs - r, side="left"))
-                        hi = int(np.searchsorted(xe2, xs + r, side="right"))
-                        cand = [
-                            j for j in range(lo, hi)
-                            if int(ve2[j]) not in am.relay_vids
-                        ]
-                        if cand:
-                            if not self.cfg.track_all_relays:
-                                cand = [min(cand, key=lambda j: abs(float(xe2[j]) - xs))]
-                            for j in cand:
-                                relay_vid = int(ve2[j])
-                                tau1 = t_now - msg.creation_time
-                                am.tracks.append(_Track(relay_vid, t_now, tau1))
-                                am.relay_vids.add(relay_vid)
-                                self.events.append(
-                                    (t_now, "hop1", mid, float(xe2[j]), relay_vid)
-                                )
-                                if len(am.tracks) == 1:
-                                    self.tau1_samples.append(tau1)
+                    lo = int(np.searchsorted(xe2, xs - r, side="left"))
+                    hi = int(np.searchsorted(xe2, xs + r, side="right"))
+                    if hi > lo:
+                        j = min(range(lo, hi), key=lambda j: abs(float(xe2[j]) - xs))
+                        tau1 = t_now - msg.creation_time
+                        am.track = _Track(int(ve2[j]), t_now, tau1)
+                        self.tau1_samples.append(tau1)
 
-            # stages 2 and 3 for every live track
-            avail_bound = msg.source_position - self.cfg.min_distance
-            for ti, tr in enumerate(am.tracks):
-                if tr.dead:
-                    continue
-                if tr.delivered and not self.cfg.track_all_deliveries:
-                    continue
+            # stages 2 and 3: the relay carries it upstream and delivers
+            tr = am.track
+            if tr is not None and not tr.dead and (all_deliveries or not tr.delivered):
                 ri = idx2.find(tr.relay_vid)
                 if ri < 0:
                     tr.dead = True
-                    if ti == 0 and not tr.delivered:
+                    if not tr.delivered:
                         self.dead_relay_exit += 1
-                    continue
-                xr = float(x2[ri])
-                if not tr.available and xr <= avail_bound + r:
-                    tr.tau2 = t_now - msg.creation_time
-                    self.events.append((t_now, "available", mid, xr, tr.relay_vid))
-                    if ti == 0:
-                        self.tau2_samples.append(tr.tau2)
-                if not tr.available:
-                    continue
-                if not _slot_in(tr.pickup_time, t_prev, t_now, interval):
-                    continue
-                hi_bound = min(xr + r, avail_bound)
-                lo = int(np.searchsorted(xe1, xr - r, side="left"))
-                hi = int(np.searchsorted(xe1, hi_bound, side="right"))
-                receivers = [
-                    j for j in range(hi - 1, lo - 1, -1)
-                    if int(ve1[j]) not in am.delivered_to
-                ]
-                if not receivers:
-                    continue
-                if not self.cfg.track_all_deliveries:
-                    receivers = receivers[:1]
-                first = receivers[0]
-                for j in receivers:
-                    rec_vid = int(ve1[j])
-                    pos = float(xe1[j])
-                    assert pos <= avail_bound + 1e-9, (
-                        "delivery beyond the destination region"
-                    )
-                    am.delivered_to.add(rec_vid)
-                    self.deliveries.append(Delivery(mid, rec_vid, t_now, pos))
-                    self.events.append((t_now, "delivery", mid, pos, rec_vid))
-                    if j == first and not tr.delivered:
-                        tr.tau3 = t_now - msg.creation_time
-                        tr.receiver_vid = rec_vid
-                        tr.delivery_position = pos
-                        if ti == 0:
-                            self.tau3_samples.append(tr.tau3)
-                            self.records.append(
-                                TransmissionRecord(
-                                    message_id=mid,
-                                    tau1=tr.tau1,
-                                    tau2=tr.tau2,
-                                    tau3=tr.tau3,
-                                    relay_id=tr.relay_vid,
-                                    receiver_id=rec_vid,
-                                    delivery_position=pos,
-                                )
-                            )
-                            self.delivered += 1
+                else:
+                    self._relay_step(am, float(x2[ri]), t_prev, t_now, xe1, ve1)
 
             # retire the message once nothing more can happen to it
-            if am.source_alive and (not am.tracks or self.cfg.track_all_relays):
-                continue
-            if self.cfg.track_all_deliveries:
-                settled = all(tr.dead for tr in am.tracks)
-            else:
-                settled = all(tr.dead or tr.delivered for tr in am.tracks)
-            if not settled:
-                continue
-            if not am.tracks:
+            if tr is None:
+                if am.source_alive:
+                    continue
                 self.dead_source_exit += 1
-            self._finished_tracks.extend(
-                (mid, k, tr.tau1, tr.tau2, tr.tau3)
-                for k, tr in enumerate(am.tracks)
-            )
+            elif not (tr.dead or (tr.delivered and not all_deliveries)):
+                continue
             finished.append(mid)
         for mid in finished:
             del self._active[mid]
+
+    def _relay_step(self, am, xr, t_prev, t_now, xe1, ve1):
+        """Availability and delivery for a relay now at xr.
+
+        xe1/ve1 are the equipped direction-1 positions (ascending) and vids.
+        """
+        msg = am.msg
+        tr = am.track
+        r = self.cfg.broadcast_range
+        avail_bound = msg.source_position - self.cfg.min_distance
+        if not tr.available and xr <= avail_bound + r:
+            tr.tau2 = t_now - msg.creation_time
+            self.tau2_samples.append(tr.tau2)
+        if not tr.available:
+            return
+        if not _slot_in(tr.pickup_time, t_prev, t_now, self.cfg.broadcast_interval):
+            return
+        hi_bound = min(xr + r, avail_bound)
+        lo = int(np.searchsorted(xe1, xr - r, side="left"))
+        hi = int(np.searchsorted(xe1, hi_bound, side="right"))
+        receivers = [
+            j for j in range(hi - 1, lo - 1, -1)
+            if int(ve1[j]) not in am.delivered_to
+        ]
+        if not self.cfg.track_all_deliveries:
+            receivers = receivers[:1]
+        for j in receivers:
+            rec_vid = int(ve1[j])
+            pos = float(xe1[j])
+            if pos > avail_bound + 1e-9:
+                raise RuntimeError(
+                    f"message {msg.id} delivered at x={pos} beyond the destination "
+                    f"region (x <= {avail_bound})"
+                )
+            am.delivered_to.add(rec_vid)
+            self.deliveries.append(Delivery(msg.id, rec_vid, t_now, pos))
+            if not tr.delivered:
+                tr.tau3 = t_now - msg.creation_time
+                self.tau3_samples.append(tr.tau3)
+                self.records.append(
+                    TransmissionRecord(
+                        message_id=msg.id,
+                        tau1=tr.tau1,
+                        tau2=tr.tau2,
+                        tau3=tr.tau3,
+                        relay_id=tr.relay_vid,
+                        receiver_id=rec_vid,
+                        delivery_position=pos,
+                    )
+                )
+                self.delivered += 1
 
     # -- exports ---------------------------------------------------------
 
@@ -410,14 +377,6 @@ class CommsEngine:
                 }
             )
         return rows
-
-    def track_table(self):
-        """(message_id, track_index, tau1, tau2, tau3) for every track."""
-        out = list(self._finished_tracks)
-        for mid, am in self._active.items():
-            for k, tr in enumerate(am.tracks):
-                out.append((mid, k, tr.tau1, tr.tau2, tr.tau3))
-        return out
 
 
 @dataclass(frozen=True)

@@ -29,30 +29,9 @@ In this geometry tau1 <= tau2 always holds; the fields are still reported
 independently and no ordering is asserted.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .params import CommParams, ExponentialRange, TrafficConditions
-
-
-@dataclass(frozen=True)
-class OracleSample:
-    """One simulated message passage.
-
-    Attributes:
-        x2_initial: relay position at message creation, source-relative (m).
-        broadcast_range: range used for both hops of this message (m).
-        tau1: first-hop completion time (s).
-        tau2: destination-region availability time (s).
-        tau3: delivery time (s).
-    """
-
-    x2_initial: float
-    broadcast_range: float
-    tau1: float
-    tau2: float
-    tau3: float
 
 
 def _exp_inverse_cdf(u: np.ndarray, rate: float) -> np.ndarray:
@@ -121,34 +100,3 @@ def sample_arrays(
         tau3 = tau3 + first_slot + second_slot
 
     return {"x2": x2, "r": r, "tau1": tau1, "tau2": tau2, "tau3": tau3}
-
-
-def sample_batch(
-    n: int,
-    tc: TrafficConditions,
-    cp: CommParams,
-    rng_seed: int,
-    broadcast_interval: float = 0.0,
-) -> list:
-    """Like sample_arrays, but returning a list of OracleSample records."""
-    a = sample_arrays(n, tc, cp, rng_seed, broadcast_interval)
-    return [
-        OracleSample(
-            x2_initial=float(a["x2"][i]),
-            broadcast_range=float(a["r"][i]),
-            tau1=float(a["tau1"][i]),
-            tau2=float(a["tau2"][i]),
-            tau3=float(a["tau3"][i]),
-        )
-        for i in range(n)
-    ]
-
-
-def sample(
-    tc: TrafficConditions,
-    cp: CommParams,
-    rng_seed: int,
-    broadcast_interval: float = 0.0,
-) -> OracleSample:
-    """Draw a single message passage; equals sample_batch(1, ...)[0]."""
-    return sample_batch(1, tc, cp, rng_seed, broadcast_interval)[0]

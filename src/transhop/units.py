@@ -16,19 +16,3 @@ def ms_to_kmh(v: float) -> float:
 
 def per_km_to_per_m(x: float) -> float:
     return x / 1000.0
-
-
-def per_m_to_per_km(x: float) -> float:
-    return x * 1000.0
-
-
-def km_to_m(x: float) -> float:
-    return x * 1000.0
-
-
-def m_to_km(x: float) -> float:
-    return x / 1000.0
-
-
-def per_hour_to_per_s(q: float) -> float:
-    return q / 3600.0

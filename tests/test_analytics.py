@@ -192,7 +192,8 @@ class TestCurves:
             probs = curve.probabilities
             assert np.all((probs >= 0.0) & (probs <= 1.0))
             assert np.all(np.diff(probs) >= -1e-12)
-            assert len(curve.points) == taus.size
+            assert np.array_equal(curve.taus, taus)
+            assert probs.shape == taus.shape
 
     @staticmethod
     def cp_for(quantity):

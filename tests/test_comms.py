@@ -114,10 +114,16 @@ class TestSingleHopChain:
         engine, _, _ = self.run_chain()
         assert engine.records[0].delivery_position <= 5000.0 - 1000.0
 
-    def test_events_in_causal_order(self):
-        engine, _, _ = self.run_chain()
-        kinds = [e[1] for e in engine.events]
-        assert kinds == ["created", "hop1", "available", "delivery"]
+    def test_stages_in_causal_order(self):
+        engine, _, rcv = self.run_chain()
+        assert engine.created == 1
+        (rec,) = engine.records
+        assert 0.0 < rec.tau1 < rec.tau2 < rec.tau3
+        assert engine.tau1_samples == [rec.tau1]
+        assert engine.tau2_samples == [rec.tau2]
+        assert engine.tau3_samples == [rec.tau3]
+        delivery = Delivery(rec.message_id, rcv, rec.tau3, rec.delivery_position)
+        assert engine.deliveries == [delivery]
 
 
 class TestHopSelection:
@@ -134,11 +140,12 @@ class TestHopSelection:
         src = put(sim, 1, 5000.0)
         put(sim, 2, 5100.0)  # 93.75 m away at first step end
         near = put(sim, 2, 4950.0)  # 62.5 m away
+        put(sim, 1, 2000.0)  # meets the relay upstream at 55 s
         engine._new_message(KIND_LANDMARK, src, 5000.0, 0.0)
-        drive(sim, engine, 1.0)
-        tracks = engine.track_table()
-        assert len(tracks) == 1
-        assert engine.events[-1][4] == near
+        drive(sim, engine, 70.0)
+        assert engine.tau1_samples == [0.25]  # one hop, in the first step
+        (rec,) = engine.records
+        assert rec.relay_id == near
 
     def test_unequipped_relay_is_invisible(self):
         sim, engine = scene()

@@ -22,16 +22,15 @@ def test_deterministic_under_seed():
     assert not np.array_equal(a["tau3"], c["tau3"])
 
 
-def test_batch_and_single_sample_agree():
-    arrs = oracle.sample_arrays(4, ASYM, COMM, rng_seed=9)
-    batch = oracle.sample_batch(4, ASYM, COMM, rng_seed=9)
-    single = oracle.sample(ASYM, COMM, rng_seed=9)
-    assert batch[0].tau1 == single.tau1
-    assert batch[0].tau3 == single.tau3
-    for i, s in enumerate(batch):
-        assert s.tau1 == arrs["tau1"][i]
-        assert s.tau2 == arrs["tau2"][i]
-        assert s.tau3 == arrs["tau3"][i]
+def test_first_row_of_batch_is_single_draw():
+    ranged = CommParams.exponential(lambda_r=1.0 / 200.0, r_min=1000.0)
+    for cp, interval in ((COMM, 0.0), (ranged, 10.0)):
+        kw = dict(rng_seed=9, broadcast_interval=interval)
+        batch = oracle.sample_arrays(4, ASYM, cp, **kw)
+        single = oracle.sample_arrays(1, ASYM, cp, **kw)
+        for key in ("x2", "r", "tau1", "tau2", "tau3"):
+            assert batch[key][0] == single[key][0]
+            assert batch[key].shape == (4,)
 
 
 def test_stage_ordering_and_support():
