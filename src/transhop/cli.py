@@ -322,8 +322,14 @@ def cmd_validate(cfg: dict, out_dir: str, seed: int, check: bool) -> int:
     checks = []
     for cell in cells:
         result = replicate_cell(cell, replicates, parallel=parallel)
-        ev = evaluate_cell(result, cp)
         label = f"lanes={result.lanes},alpha={result.alpha:g}"
+        try:
+            ev = evaluate_cell(result, cp)
+        except ValueError as exc:
+            raise ConfigError(
+                f"cell {label} has too few samples to compare ({exc}); "
+                "raise validate.messages"
+            ) from exc
         reports[label] = ev
         for name in ("tau1", "tau2", "tau3"):
             for value in result.samples[name]:
@@ -338,6 +344,15 @@ def cmd_validate(cfg: dict, out_dir: str, seed: int, check: bool) -> int:
             f"measured v={ev['measured']['v1_kmh']:.1f}km/h "
             f"rho={ev['measured']['rho1_per_km']:.1f}/km"
         )
+        if result.truncated:
+            checks.append(
+                (
+                    f"{label} truncated",
+                    False,
+                    f"delivered {result.delivered} of {result.created} created "
+                    "within max_time_s",
+                )
+            )
         if result.lanes >= 2:
             checks.append(
                 (

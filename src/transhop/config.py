@@ -253,11 +253,20 @@ def oracle_conditions(cfg: dict, alpha: float) -> TrafficConditions:
 
 
 def validation_cells(cfg: dict, seed: int) -> list[CellConfig]:
-    """One CellConfig per sweep point, seeds spaced so replicates never collide."""
+    """One CellConfig per sweep point, seeds spaced so replicates never collide.
+
+    Cell idx runs replicate k at seed + 100000 * idx + 1000 * k, so more than
+    100 replicates would reuse the next cell's seeds.
+    """
     v = cfg["validate"]
     specs = v["cells"]
     if not isinstance(specs, list) or not specs:
         raise ConfigError("validate.cells must be a non-empty list")
+    if len(specs) > 1 and int(v["replicates"]) > 100:
+        raise ConfigError(
+            "validate.replicates above 100 with more than one cell would reuse "
+            "the next cell's seeds"
+        )
     comm = comms_config(cfg)
     cells = []
     for idx, spec in enumerate(specs):

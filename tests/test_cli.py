@@ -118,6 +118,35 @@ class TestValidate:
         assert "measured" in cell
 
 
+    SHORT_ROAD = (
+        "traffic:\n  length_m: 6000\ncomms:\n  landmark_x_m: 3000\n"
+        "validate:\n  cells:\n    - {lanes: 1, penetration: 0.3}\n"
+        "  replicates: 1\n  parallel: false\n"
+    )
+
+    def test_truncated_cell_fails_check(self, tmp_path, capsys):
+        cfg = self.SHORT_ROAD + "  messages: 40\n  max_time_s: 200\n"
+        assert run(tmp_path, "validate", config=cfg) == 0
+        report = json.loads((tmp_path / "validate_report.json").read_text())
+        cell = report["cells"]["lanes=1,alpha=0.3"]
+        assert cell["truncated"] is True
+        capsys.readouterr()
+        assert run(tmp_path, "validate", "--check", config=cfg) == 1
+        out = capsys.readouterr().out
+        assert (
+            f"[FAIL] lanes=1,alpha=0.3 truncated: delivered {cell['delivered']} of "
+            f"{cell['created']} created within max_time_s\n"
+        ) in out
+        assert cell["delivered"] < cell["created"]
+
+    def test_too_few_samples_is_config_error(self, tmp_path, capsys):
+        cfg = self.SHORT_ROAD + "  messages: 1\n"
+        assert run(tmp_path, "validate", config=cfg) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "lanes=1,alpha=0.3" in err and "validate.messages" in err
+
+
 class TestJam:
     TINY = (
         "jam:\n  duration_s: 240\n  peak_end_s: 120\n  penetration: 0.02\n"

@@ -133,6 +133,16 @@ class TestValidationCells:
         assert [c.seed for c in cells] == [7, 100007]
         assert [c.road.n_lanes for c in cells] == [1, 2]
 
+    def test_replicate_seeds_must_not_reach_next_cell(self, tmp_path):
+        two_cells = "validate:\n  cells:\n    - {lanes: 1}\n    - {lanes: 2}\n"
+        cfg = config.load_config(write(tmp_path, two_cells + "  replicates: 101\n"))
+        with pytest.raises(ConfigError, match="replicates above 100"):
+            config.validation_cells(cfg, seed=7)
+        cfg = config.load_config(write(tmp_path, two_cells + "  replicates: 100\n"))
+        assert len(config.validation_cells(cfg, seed=7)) == 2
+        one_cell = "validate:\n  cells:\n    - {lanes: 1}\n  replicates: 101\n"
+        assert len(config.validation_cells(config.load_config(write(tmp_path, one_cell)), 7)) == 1
+
     def test_cell_validation(self, tmp_path):
         for body, msg in (
             ("validate:\n  cells: []\n", "non-empty"),
