@@ -12,7 +12,6 @@ destination region is everything at or below -r_min.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
@@ -270,16 +269,6 @@ def info_speed(lam: float, v: float, cp: CommParams) -> float:
     return cp.r_min / mean_delivery_time(lam, v, cp)
 
 
-@dataclass
-class DistributionCurve:
-    """A tabulated cumulative curve plus the parameters that produced it."""
-
-    quantity: str
-    taus: np.ndarray
-    probabilities: np.ndarray
-    params: dict = field(default_factory=dict)
-
-
 def cdf_function(quantity: str, tc: TrafficConditions, cp: CommParams):
     """Return the cumulative curve for one of P1 | P2 | P3 | P3dist as a callable."""
     if quantity == "P1":
@@ -294,21 +283,10 @@ def cdf_function(quantity: str, tc: TrafficConditions, cp: CommParams):
     raise ValueError(f"unknown quantity {quantity!r}, expected one of {CURVE_QUANTITIES}")
 
 
-def tabulate(quantity: str, tc: TrafficConditions, cp: CommParams, tau_grid) -> DistributionCurve:
-    """Evaluate one cumulative curve on a strictly increasing time grid."""
-    taus = np.asarray(tau_grid, dtype=float)
-    if taus.ndim != 1 or taus.size == 0:
-        raise ValueError("tau grid must be a non-empty 1-d array")
-    if taus.size > 1 and not np.all(np.diff(taus) > 0.0):
-        raise ValueError("tau grid must be strictly increasing")
-    probs = np.asarray(cdf_function(quantity, tc, cp)(taus), dtype=float)
-    meta = {
-        "v1": tc.v1,
-        "v2": tc.v2,
-        "rho1": tc.rho1,
-        "rho2": tc.rho2,
-        "alpha": tc.alpha,
-        "r_min": cp.r_min,
-        "range_model": type(cp.range_model).__name__,
+def stage_cdfs(tc: TrafficConditions, cp: CommParams) -> dict:
+    """Fixed-range curves of the three stage times, keyed like the samples."""
+    return {
+        "tau1": cdf_function("P1", tc, cp),
+        "tau2": cdf_function("P2", tc, cp),
+        "tau3": cdf_function("P3", tc, cp),
     }
-    return DistributionCurve(quantity=quantity, taus=taus, probabilities=probs, params=meta)

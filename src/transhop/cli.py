@@ -94,8 +94,6 @@ def _run_checks(checks) -> int:
 
 # -- analytic ----------------------------------------------------------------
 
-CURVES_FIXED = ("P1", "P2", "P3")
-
 
 def cmd_analytic(cfg: dict, out_dir: str, seed: int, check: bool) -> int:
     a = cfg["analytic"]
@@ -133,24 +131,12 @@ def cmd_analytic(cfg: dict, out_dir: str, seed: int, check: bool) -> int:
         taus_q = [analytics.delivery_time_quantile(q, lam, v, cp) for q in quantiles]
         vp = ms_to_kmh(analytics.info_speed(lam, v, cp))
         table_rows.append([alpha, mean2, mean3, *taus_q, vp])
-        for quantity in CURVES_FIXED:
-            curve = analytics.tabulate(quantity, tc, cp, taus)
-            probs = curve.probabilities
-            for t, p in zip(curve.taus, probs):
+        for quantity, params in (("P1", cp), ("P2", cp), ("P3", cp), ("P3dist", cp_dist)):
+            probs = analytics.cdf_function(quantity, tc, params)(taus)
+            for t, p in zip(taus, probs):
                 curve_rows.append([quantity, alpha, float(t), float(p)])
             max_range = max(max_range, float(-probs.min()), float(probs.max() - 1.0))
-            if probs.size > 1:
-                min_step = min(min_step, float(np.diff(probs).min()))
-        dist = analytics.tabulate("P3dist", tc, cp_dist, taus)
-        for t, p in zip(dist.taus, dist.probabilities):
-            curve_rows.append(["P3dist", alpha, float(t), float(p)])
-        max_range = max(
-            max_range,
-            float(-dist.probabilities.min()),
-            float(dist.probabilities.max() - 1.0),
-        )
-        if dist.probabilities.size > 1:
-            min_step = min(min_step, float(np.diff(dist.probabilities).min()))
+            min_step = min(min_step, float(np.diff(probs).min()))
 
         p3 = analytics.delivery_cdf(taus, tc, cp)
         p3_sym = analytics.delivery_cdf_symmetric(taus, lam, v, cp)
@@ -238,12 +224,7 @@ def cmd_oracle(cfg: dict, out_dir: str, seed: int, check: bool) -> int:
             continue
         samples = {name: arrs[name] for name in ("tau1", "tau2", "tau3")}
         if interval == 0.0:
-            cdfs = {
-                "tau1": lambda t, tc=tc: analytics.first_hop_cdf(t, tc, cp.fixed_r),
-                "tau2": lambda t, tc=tc: analytics.availability_cdf(t, tc, cp),
-                "tau3": lambda t, tc=tc: analytics.delivery_cdf(t, tc, cp),
-            }
-            report = stats.comparison_report(samples, cdfs)
+            report = stats.comparison_report(samples, analytics.stage_cdfs(tc, cp))
             cells[key] = report
             for name in ("tau1", "tau2", "tau3"):
                 ks = report[name]["KS"]

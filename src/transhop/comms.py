@@ -74,11 +74,16 @@ class JamThresholds:
 
 @dataclass
 class CommsConfig:
+    """Radio geometry and message sources.
+
+    jam_detection adds the front messages and hands every message to each
+    receiver in reach, which the message-age statistic needs.
+    """
+
     broadcast_range: float = 200.0
     min_distance: float = 1000.0
     landmark_x: float | None = None
     broadcast_interval: float = 0.0
-    track_all_deliveries: bool = False
     jam_detection: bool = False
     jam: JamThresholds = field(default_factory=JamThresholds)
 
@@ -116,18 +121,26 @@ def _slot_in(start: float, t_prev: float, t_now: float, interval: float) -> bool
     return k >= 0 and start + k * interval > t_prev
 
 
-class _Track:
-    """Progress of the relay carrying one message."""
+class _ActiveMessage:
+    """A message in flight and the progress of the relay carrying it.
 
-    __slots__ = ("relay_vid", "pickup_time", "tau1", "tau2", "tau3", "dead")
+    relay_vid stays None until the first hop; tau2/tau3 stay NaN until the
+    relay reaches the destination region and delivers.
+    """
 
-    def __init__(self, relay_vid: int, pickup_time: float, tau1: float):
-        self.relay_vid = relay_vid
-        self.pickup_time = pickup_time
-        self.tau1 = tau1
+    __slots__ = ("msg", "relay_vid", "pickup_time", "tau1", "tau2", "tau3", "dead",
+                 "delivered_to", "source_alive")
+
+    def __init__(self, msg: Message):
+        self.msg = msg
+        self.relay_vid: int | None = None
+        self.pickup_time = math.nan
+        self.tau1 = math.nan
         self.tau2 = math.nan
         self.tau3 = math.nan
         self.dead = False
+        self.delivered_to = set()
+        self.source_alive = True
 
     @property
     def available(self) -> bool:
@@ -136,16 +149,6 @@ class _Track:
     @property
     def delivered(self) -> bool:
         return not math.isnan(self.tau3)
-
-
-class _ActiveMessage:
-    __slots__ = ("msg", "track", "delivered_to", "source_alive")
-
-    def __init__(self, msg: Message):
-        self.msg = msg
-        self.track: _Track | None = None
-        self.delivered_to = set()
-        self.source_alive = True
 
 
 class _VidIndex:
@@ -167,7 +170,7 @@ class CommsEngine:
 
     Call after_step(sim) once after every sim.step().  Records accumulate
     in .records (first delivery per message), .deliveries (every reception
-    when track_all_deliveries is on), and the per-stage sample lists.
+    when jam_detection is on), and the per-stage sample lists.
     """
 
     def __init__(self, sim: TrafficSim, cfg: CommsConfig):
@@ -264,13 +267,13 @@ class CommsEngine:
 
         r = self.cfg.broadcast_range
         interval = self.cfg.broadcast_interval
-        all_deliveries = self.cfg.track_all_deliveries
+        all_deliveries = self.cfg.jam_detection
         finished = []
         for mid, am in self._active.items():
             msg = am.msg
 
             # stage 1: the source broadcasts until the nearest relay takes it
-            if am.track is None and am.source_alive:
+            if am.relay_vid is None and am.source_alive:
                 si = idx1.find(msg.source_vid)
                 if si < 0:
                     am.source_alive = False
@@ -280,27 +283,28 @@ class CommsEngine:
                     hi = int(np.searchsorted(xe2, xs + r, side="right"))
                     if hi > lo:
                         j = min(range(lo, hi), key=lambda j: abs(float(xe2[j]) - xs))
-                        tau1 = t_now - msg.creation_time
-                        am.track = _Track(int(ve2[j]), t_now, tau1)
-                        self.tau1_samples.append(tau1)
+                        am.relay_vid = int(ve2[j])
+                        am.pickup_time = t_now
+                        am.tau1 = t_now - msg.creation_time
+                        self.tau1_samples.append(am.tau1)
 
             # stages 2 and 3: the relay carries it upstream and delivers
-            tr = am.track
-            if tr is not None and not tr.dead and (all_deliveries or not tr.delivered):
-                ri = idx2.find(tr.relay_vid)
+            relayed = am.relay_vid is not None
+            if relayed and not am.dead and (all_deliveries or not am.delivered):
+                ri = idx2.find(am.relay_vid)
                 if ri < 0:
-                    tr.dead = True
-                    if not tr.delivered:
+                    am.dead = True
+                    if not am.delivered:
                         self.dead_relay_exit += 1
                 else:
                     self._relay_step(am, float(x2[ri]), t_prev, t_now, xe1, ve1)
 
             # retire the message once nothing more can happen to it
-            if tr is None:
+            if not relayed:
                 if am.source_alive:
                     continue
                 self.dead_source_exit += 1
-            elif not (tr.dead or (tr.delivered and not all_deliveries)):
+            elif not (am.dead or (am.delivered and not all_deliveries)):
                 continue
             finished.append(mid)
         for mid in finished:
@@ -312,15 +316,14 @@ class CommsEngine:
         xe1/ve1 are the equipped direction-1 positions (ascending) and vids.
         """
         msg = am.msg
-        tr = am.track
         r = self.cfg.broadcast_range
         avail_bound = msg.source_position - self.cfg.min_distance
-        if not tr.available and xr <= avail_bound + r:
-            tr.tau2 = t_now - msg.creation_time
-            self.tau2_samples.append(tr.tau2)
-        if not tr.available:
+        if not am.available and xr <= avail_bound + r:
+            am.tau2 = t_now - msg.creation_time
+            self.tau2_samples.append(am.tau2)
+        if not am.available:
             return
-        if not _slot_in(tr.pickup_time, t_prev, t_now, self.cfg.broadcast_interval):
+        if not _slot_in(am.pickup_time, t_prev, t_now, self.cfg.broadcast_interval):
             return
         hi_bound = min(xr + r, avail_bound)
         lo = int(np.searchsorted(xe1, xr - r, side="left"))
@@ -329,7 +332,7 @@ class CommsEngine:
             j for j in range(hi - 1, lo - 1, -1)
             if int(ve1[j]) not in am.delivered_to
         ]
-        if not self.cfg.track_all_deliveries:
+        if not self.cfg.jam_detection:
             receivers = receivers[:1]
         for j in receivers:
             rec_vid = int(ve1[j])
@@ -341,16 +344,16 @@ class CommsEngine:
                 )
             am.delivered_to.add(rec_vid)
             self.deliveries.append(Delivery(msg.id, rec_vid, t_now, pos))
-            if not tr.delivered:
-                tr.tau3 = t_now - msg.creation_time
-                self.tau3_samples.append(tr.tau3)
+            if not am.delivered:
+                am.tau3 = t_now - msg.creation_time
+                self.tau3_samples.append(am.tau3)
                 self.records.append(
                     TransmissionRecord(
                         message_id=msg.id,
-                        tau1=tr.tau1,
-                        tau2=tr.tau2,
-                        tau3=tr.tau3,
-                        relay_id=tr.relay_vid,
+                        tau1=am.tau1,
+                        tau2=am.tau2,
+                        tau3=am.tau3,
+                        relay_id=am.relay_vid,
                         receiver_id=rec_vid,
                         delivery_position=pos,
                     )

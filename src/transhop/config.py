@@ -29,7 +29,6 @@ DEFAULTS = {
     "output_dir": "out",
     "comms": {
         "broadcast_range_m": 200.0,
-        "range_model": "fixed",  # fixed | exponential (mean = broadcast_range_m)
         "min_distance_m": 1000.0,
         "broadcast_interval_s": 0.0,  # 0 means continuous broadcasting
         "landmark_x_m": 10000.0,
@@ -160,12 +159,7 @@ def comm_params(cfg: dict) -> CommParams:
     c = cfg["comms"]
     r = _positive(c["broadcast_range_m"], "comms.broadcast_range_m")
     r_min = _positive(c["min_distance_m"], "comms.min_distance_m")
-    model = c["range_model"]
-    if model == "fixed":
-        return CommParams.fixed(r=r, r_min=r_min)
-    if model == "exponential":
-        return CommParams.exponential(lambda_r=1.0 / r, r_min=r_min)
-    raise ConfigError("comms.range_model must be 'fixed' or 'exponential'")
+    return CommParams.fixed(r=r, r_min=r_min)
 
 
 def comms_config(cfg: dict, **overrides) -> CommsConfig:
@@ -328,7 +322,7 @@ def jam_scenario(cfg: dict, seed: int) -> JamConfig:
         inflow2=InflowProfile(points=((0.0, base_rate),)),
         bottlenecks=(bneck,),
     )
-    comm = comms_config(cfg, jam_detection=True, track_all_deliveries=True)
+    comm = comms_config(cfg, jam_detection=True)
     try:
         return JamConfig(
             road=road,

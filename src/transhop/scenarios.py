@@ -196,13 +196,7 @@ def measured_conditions(result: CellResult) -> TrafficConditions:
 def evaluate_cell(result: CellResult, comm: CommParams) -> dict:
     """Compare a cell's samples against the closed forms at measured (v, rho)."""
     tc = measured_conditions(result)
-    r = comm.fixed_r
-    cdfs = {
-        "tau1": lambda t: analytics.first_hop_cdf(t, tc, r),
-        "tau2": lambda t: analytics.availability_cdf(t, tc, comm),
-        "tau3": lambda t: analytics.delivery_cdf(t, tc, comm),
-    }
-    report = stats.comparison_report(result.samples, cdfs)
+    report = stats.comparison_report(result.samples, analytics.stage_cdfs(tc, comm))
     return {
         "lanes": result.lanes,
         "alpha": result.alpha,
@@ -239,10 +233,8 @@ class JamConfig:
     age_distance: float = 1000.0
 
     def __post_init__(self):
-        if not self.comm.jam_detection or not self.comm.track_all_deliveries:
-            raise ValueError(
-                "the congestion scenario needs jam detection and full delivery tracking"
-            )
+        if not self.comm.jam_detection:
+            raise ValueError("the congestion scenario needs jam detection")
         if not self.road.bottlenecks:
             raise ValueError("the congestion scenario needs a bottleneck")
         if self.duration <= 0.0 or self.peak_end <= 0.0:

@@ -14,7 +14,7 @@ from scipy.optimize import brentq
 
 @dataclass(frozen=True)
 class EmpiricalDistribution:
-    """Sorted sample set with the usual step-function estimate attached."""
+    """Sorted, finite sample set."""
 
     samples: np.ndarray
 
@@ -30,16 +30,6 @@ class EmpiricalDistribution:
     @property
     def n(self) -> int:
         return int(self.samples.size)
-
-
-def ecdf(dist: EmpiricalDistribution, tau):
-    """Right-continuous empirical CDF, scalar in scalar out."""
-    taus = np.asarray(tau, dtype=float)
-    counts = np.searchsorted(dist.samples, taus, side="right")
-    vals = counts / dist.n
-    if np.isscalar(tau) or taus.ndim == 0:
-        return float(vals)
-    return vals
 
 
 def quantile(dist: EmpiricalDistribution, q):

@@ -59,10 +59,3 @@ def idm_acceleration(v, desired_v, gap, lead_v, p: IdmParams, time_headway=None)
     free_term = (v / np.asarray(desired_v, dtype=float)) ** p.exponent
     return p.max_accel * (1.0 - free_term - (desired_gap / np.asarray(gap, dtype=float)) ** 2)
 
-
-def equilibrium_gap(v: float, desired_v: float, p: IdmParams, time_headway=None) -> float:
-    """Steady-following gap at speed v behind a leader at the same speed."""
-    if v >= desired_v:
-        raise ValueError("no equilibrium at or above the desired speed")
-    headway = p.time_headway if time_headway is None else time_headway
-    return (p.min_gap + v * headway) / math.sqrt(1.0 - (v / desired_v) ** p.exponent)

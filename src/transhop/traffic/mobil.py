@@ -40,20 +40,22 @@ class MobilParams:
             raise ValueError("keep_right_bias must be >= 0")
 
 
+def lane_members(lane: np.ndarray, n_lanes: int) -> list:
+    """members[k]: ascending indices of the vehicles in lane k."""
+    # flatnonzero without its ravel wrapper: this runs several times a step
+    return [np.nonzero(lane == k)[0] for k in range(n_lanes)]
+
+
 def neighbor_maps(s: np.ndarray, lane: np.ndarray, n_lanes: int):
     """Per-lane leader/follower indices for position-sorted vehicles.
 
-    Returns (members, lead, fol): members[k] are the indices in lane k in
-    ascending position order; lead[i]/fol[i] are same-lane neighbor indices
-    or -1.
+    Returns (members, lead, fol): members is lane_members(); lead[i]/fol[i]
+    are same-lane neighbor indices or -1.
     """
     lead = np.full(s.size, -1, dtype=np.int64)
     fol = lead.copy()
-    members = []
-    for k in range(n_lanes):
-        # flatnonzero without its ravel wrapper: this runs several times a step
-        m = np.nonzero(lane == k)[0]
-        members.append(m)
+    members = lane_members(lane, n_lanes)
+    for m in members:
         if m.size >= 2:
             lead[m[:-1]] = m[1:]
             fol[m[1:]] = m[:-1]

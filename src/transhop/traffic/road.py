@@ -22,10 +22,29 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .idm import IdmParams, idm_acceleration
-from .mobil import MobilParams, neighbor_maps, propose_lane_changes, revalidate_change
+from .mobil import (
+    MobilParams,
+    lane_members,
+    neighbor_maps,
+    propose_lane_changes,
+    revalidate_change,
+)
 
 _FREE_GAP = 1.0e9
 _MIN_ENTRY_SPEED = 1.0
+
+# DirectionState's per-vehicle arrays, all aligned: name -> dtype
+_COLUMNS = (
+    ("s", float),
+    ("prev_s", float),
+    ("v", float),
+    ("v0", float),
+    ("lane", np.int64),
+    ("vid", np.int64),
+    ("equipped", bool),
+    ("ema_speed", float),
+    ("congested", bool),
+)
 
 
 def _entry_speed(v0, gap0, lead_speed, idm):
@@ -207,15 +226,8 @@ class DirectionState:
         self.direction = direction
         self.cfg = cfg
         self.rng = np.random.default_rng([seed, direction])
-        self.s = np.empty(0, dtype=float)
-        self.prev_s = np.empty(0, dtype=float)
-        self.v = np.empty(0, dtype=float)
-        self.v0 = np.empty(0, dtype=float)
-        self.lane = np.empty(0, dtype=np.int64)
-        self.vid = np.empty(0, dtype=np.int64)
-        self.equipped = np.empty(0, dtype=bool)
-        self.ema_speed = np.empty(0, dtype=float)
-        self.congested = np.empty(0, dtype=bool)
+        for name, dtype in _COLUMNS:
+            setattr(self, name, np.empty(0, dtype=dtype))
         self._vid_counter = 0
         self._pending = deque()
         profile = cfg.inflow1 if direction == 1 else cfg.inflow2
@@ -256,16 +268,14 @@ class DirectionState:
     def _neighbor_maps(self):
         return neighbor_maps(self.s, self.lane, self.cfg.n_lanes)
 
-    def _accel(self, lead: np.ndarray) -> np.ndarray:
-        """IDM accelerations; lead is neighbor_maps()'s leader index per vehicle."""
+    def _accel(self, lead: np.ndarray, headway: np.ndarray) -> np.ndarray:
+        """IDM accelerations from neighbor_maps()'s leaders and effective_headway()."""
         gap = self.s[lead] - self.s - self.cfg.idm.vehicle_length
         lead_v = self.v[lead]
         free = lead < 0  # first in its lane: nothing ahead
         gap[free] = _FREE_GAP
         lead_v[free] = self.v[free]
-        return idm_acceleration(
-            self.v, self.v0, gap, lead_v, self.cfg.idm, self.effective_headway()
-        )
+        return idm_acceleration(self.v, self.v0, gap, lead_v, self.cfg.idm, headway)
 
     def _advance(self, acc: np.ndarray, dt: float):
         self.prev_s = self.s.copy()
@@ -281,15 +291,8 @@ class DirectionState:
         self.v = np.maximum(v_after, 0.0)
 
     def _permute(self, perm: np.ndarray):
-        self.s = self.s[perm]
-        self.prev_s = self.prev_s[perm]
-        self.v = self.v[perm]
-        self.v0 = self.v0[perm]
-        self.lane = self.lane[perm]
-        self.vid = self.vid[perm]
-        self.equipped = self.equipped[perm]
-        self.ema_speed = self.ema_speed[perm]
-        self.congested = self.congested[perm]
+        for name, _ in _COLUMNS:
+            setattr(self, name, getattr(self, name)[perm])
 
     def _resort(self):
         perm = np.lexsort((self.vid, self.s))
@@ -297,8 +300,7 @@ class DirectionState:
             self._permute(perm)
 
     def _check_collisions(self, t: float):
-        members, _, _ = self._neighbor_maps()
-        for k, m in enumerate(members):
+        for k, m in enumerate(lane_members(self.lane, self.cfg.n_lanes)):
             if m.size < 2:
                 continue
             sm = self.s[m]
@@ -318,7 +320,7 @@ class DirectionState:
             return
         maps = self._neighbor_maps()
         headway = self.effective_headway()
-        acc = self._accel(maps[1])
+        acc = self._accel(maps[1], headway)
         idx, target, incentive = propose_lane_changes(
             self.s, self.v, self.v0, acc, headway, maps, self.cfg.idm, self.cfg.mobil,
         )
@@ -370,9 +372,8 @@ class DirectionState:
         if not self._pending:
             return
         inserted_rows = []
-        members, _, _ = self._neighbor_maps()
         open_lanes = {}
-        for k, m in enumerate(members):
+        for k, m in enumerate(lane_members(self.lane, self.cfg.n_lanes)):
             if m.size:
                 tail = int(m[0])
                 open_lanes[k] = (
@@ -391,9 +392,7 @@ class DirectionState:
                 v_ins = _entry_speed(v0, gap0, lead_speed, self.cfg.idm)
             if gap0 >= self.cfg.idm.min_gap and v_ins >= _MIN_ENTRY_SPEED:
                 self._pending.popleft()
-                vid = self._vid_counter * 2 + (self.direction - 1)
-                self._vid_counter += 1
-                inserted_rows.append((vid, best, v_ins, v0, equipped))
+                inserted_rows.append((best, v_ins, v0, equipped))
                 del open_lanes[best]
             else:
                 break
@@ -401,24 +400,10 @@ class DirectionState:
             self.blocked_steps += 1
         if not inserted_rows:
             return
-        cnt = len(inserted_rows)
-        self.s = np.concatenate((np.zeros(cnt), self.s))
-        self.prev_s = np.concatenate((np.zeros(cnt), self.prev_s))
-        self.v = np.concatenate(([r[2] for r in inserted_rows], self.v))
-        self.v0 = np.concatenate(([r[3] for r in inserted_rows], self.v0))
-        self.lane = np.concatenate(
-            (np.asarray([r[1] for r in inserted_rows], dtype=np.int64), self.lane)
+        lanes, speeds, desired, equipped = zip(*inserted_rows)
+        self._add_vehicles(
+            s=np.zeros(len(lanes)), lane=lanes, v=speeds, v0=desired, equipped=equipped
         )
-        self.vid = np.concatenate(
-            (np.asarray([r[0] for r in inserted_rows], dtype=np.int64), self.vid)
-        )
-        self.equipped = np.concatenate(
-            (np.asarray([r[4] for r in inserted_rows], dtype=bool), self.equipped)
-        )
-        self.ema_speed = np.concatenate(([r[2] for r in inserted_rows], self.ema_speed))
-        self.congested = np.concatenate((np.zeros(cnt, dtype=bool), self.congested))
-        self.inserted += cnt
-        self._resort()
 
     def _remove_exited(self):
         gone = self.s > self.cfg.length
@@ -433,20 +418,30 @@ class DirectionState:
         s = self.s_of(x)
         if not 0.0 <= s <= self.cfg.length:
             raise ValueError("position outside the road")
-        vid = self._vid_counter * 2 + (self.direction - 1)
-        self._vid_counter += 1
-        self.s = np.append(self.s, s)
-        self.prev_s = np.append(self.prev_s, s)
-        self.v = np.append(self.v, float(speed))
-        self.v0 = np.append(self.v0, float(desired_speed))
-        self.lane = np.append(self.lane, np.int64(lane))
-        self.vid = np.append(self.vid, np.int64(vid))
-        self.equipped = np.append(self.equipped, bool(equipped))
-        self.ema_speed = np.append(self.ema_speed, float(speed))
-        self.congested = np.append(self.congested, False)
-        self.inserted += 1
+        (vid,) = self._add_vehicles(
+            s=[s], lane=[lane], v=[speed], v0=[desired_speed], equipped=[equipped]
+        )
+        return int(vid)
+
+    def _add_vehicles(self, **new) -> np.ndarray:
+        """Prepend vehicles given by their s, lane, v, v0 and equipped values,
+        then restore the (s, vid) order.
+
+        They get fresh vids, prev_s = s, a smoothed speed of v and no
+        congestion flag.  Returns the new vids.
+        """
+        cnt = len(new["s"])
+        new["vid"] = (self._vid_counter + np.arange(cnt, dtype=np.int64)) * 2 + (
+            self.direction - 1
+        )
+        self._vid_counter += cnt
+        new.update(prev_s=new["s"], ema_speed=new["v"], congested=np.zeros(cnt, dtype=bool))
+        for name, dtype in _COLUMNS:
+            rows = np.asarray(new[name], dtype=dtype)
+            setattr(self, name, np.concatenate((rows, getattr(self, name))))
+        self.inserted += cnt
         self._resort()
-        return vid
+        return new["vid"]
 
 
 class TrafficSim:
@@ -481,7 +476,7 @@ class TrafficSim:
         t_new = self.t + dt
         for d in self.directions.values():
             if d.n:
-                acc = d._accel(d._neighbor_maps()[1])
+                acc = d._accel(d._neighbor_maps()[1], d.effective_headway())
                 d._advance(acc, dt)
                 d._resort()
             else:

@@ -181,19 +181,14 @@ class TestDistributedRanges:
 
 
 class TestCurves:
-    def test_tabulate_all_quantities(self):
+    def test_cdf_function_on_a_grid(self):
         taus = np.linspace(0.0, 600.0, 61)
         tc = symmetric(0.05)
         for quantity in analytics.CURVE_QUANTITIES:
-            cp = self.cp_for(quantity)
-            curve = analytics.tabulate(quantity, tc, cp, taus)
-            assert curve.quantity == quantity
-            assert curve.params["alpha"] == 0.05
-            probs = curve.probabilities
+            probs = analytics.cdf_function(quantity, tc, self.cp_for(quantity))(taus)
+            assert probs.shape == taus.shape
             assert np.all((probs >= 0.0) & (probs <= 1.0))
             assert np.all(np.diff(probs) >= -1e-12)
-            assert np.array_equal(curve.taus, taus)
-            assert probs.shape == taus.shape
 
     @staticmethod
     def cp_for(quantity):
@@ -201,14 +196,9 @@ class TestCurves:
             return CommParams.exponential(lambda_r=1.0 / 200.0, r_min=1000.0)
         return COMM
 
-    def test_grid_validation(self):
-        tc = symmetric(0.05)
-        with pytest.raises(ValueError):
-            analytics.tabulate("P3", tc, COMM, np.array([3.0, 2.0]))
-        with pytest.raises(ValueError):
-            analytics.tabulate("P3", tc, COMM, np.array([]))
-        with pytest.raises(ValueError):
-            analytics.cdf_function("P9", tc, COMM)
+    def test_unknown_quantity(self):
+        with pytest.raises(ValueError, match="P9"):
+            analytics.cdf_function("P9", symmetric(0.05), COMM)
 
 
 class TestRelayDensity:

@@ -198,3 +198,14 @@ class TestExitCodes:
         assert run(tmp_path, "jam", config=self.__class__.JAM) == 3
 
     JAM = "jam:\n  duration_s: 60\n  peak_end_s: 30\n"
+
+    def test_range_model_key_refused_before_any_run(self, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulated despite the bad config")
+
+        monkeypatch.setattr("transhop.cli.replicate_cell", no_run)
+        monkeypatch.setattr("transhop.oracle.sample_arrays", no_run)
+        for command in ("oracle", "validate"):
+            assert run(tmp_path, command, config="comms:\n  range_model: exponential\n") == 2
+            assert "comms.range_model" in capsys.readouterr().err
+            assert [p.name for p in tmp_path.iterdir()] == ["run.yaml"]

@@ -175,8 +175,8 @@ class TestReceiverSelection:
         # single-delivery mode never hands the message to the second vehicle
         assert all(d.receiver_vid == ahead for d in engine.deliveries)
 
-    def test_track_all_deliveries_reaches_both(self):
-        engine, ahead, behind = self.geometry(track_all_deliveries=True)
+    def test_jam_detection_delivers_to_every_receiver(self):
+        engine, ahead, behind = self.geometry(jam_detection=True)
         got = {d.receiver_vid for d in engine.deliveries}
         assert got == {ahead, behind}
         assert engine.records[0].receiver_id == ahead  # record keeps the first

@@ -61,10 +61,9 @@ class TestCommSide:
         assert cp.fixed_r == 200.0
         assert cp.r_min == 1000.0
 
-    def test_exponential_params(self, tmp_path):
-        cfg = config.load_config(write(tmp_path, "comms:\n  range_model: exponential\n"))
-        cp = config.comm_params(cfg)
-        assert cp.range_rate == pytest.approx(1.0 / 200.0)
+    def test_range_model_key_is_unknown(self, tmp_path):
+        with pytest.raises(ConfigError, match="'comms.range_model'"):
+            config.load_config(write(tmp_path, "comms:\n  range_model: exponential\n"))
 
     def test_bad_model_and_values(self, tmp_path):
         with pytest.raises(ConfigError, match="range_model"):
@@ -166,7 +165,7 @@ class TestJamScenario:
         assert jc.duration == 5400.0
         assert jc.peak_end == 2400.0
         assert jc.road.equipped_fraction == 0.01
-        assert jc.comm.jam_detection and jc.comm.track_all_deliveries
+        assert jc.comm.jam_detection
         b = jc.road.bottlenecks[0]
         assert (b.direction, b.width, b.extra_headway) == (1, 400.0, 1.4)
         assert list(jc.road.inflow1.ts) == [0.0, 600.0, 2400.0, 3000.0, 5400.0]

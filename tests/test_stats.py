@@ -26,18 +26,7 @@ class TestEmpiricalDistribution:
             dist([1.0, float("inf")])
 
 
-class TestEcdfQuantile:
-    def test_right_continuous_steps(self):
-        d = dist([1.0, 2.0, 2.0, 3.0])
-        assert stats.ecdf(d, 0.999) == 0.0
-        assert stats.ecdf(d, 1.0) == 0.25
-        assert stats.ecdf(d, 2.0) == 0.75
-        assert stats.ecdf(d, 2.5) == 0.75
-        assert stats.ecdf(d, 3.0) == 1.0
-        out = stats.ecdf(d, [0.0, 2.0, 9.0])
-        assert list(out) == [0.0, 0.75, 1.0]
-        assert isinstance(stats.ecdf(d, 2.0), float)
-
+class TestQuantile:
     def test_quantile_interpolates(self):
         d = dist([0.0, 10.0])
         assert stats.quantile(d, 0.5) == 5.0

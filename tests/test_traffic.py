@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from transhop.traffic.idm import IdmParams, equilibrium_gap, idm_acceleration
+from transhop.traffic.idm import IdmParams, idm_acceleration
 from transhop.traffic.road import (
     BottleneckSpec,
     CollisionError,
@@ -77,7 +77,6 @@ class TestCarFollowing:
             lambda g: idm_acceleration(20.0, 30.0, g, 20.0, p), 5.0, 200.0, xtol=1e-12
         )
         assert root == pytest.approx(29.02412789387479, abs=1e-9)
-        assert equilibrium_gap(20.0, 30.0, p) == pytest.approx(root, abs=1e-9)
 
         sim = quiet_sim()
         d = sim.state(1)
@@ -86,10 +85,6 @@ class TestCarFollowing:
         sim.run(600.0)
         gap = float(np.diff(d.s)[0]) - sim.cfg.idm.vehicle_length
         assert gap == pytest.approx(root, abs=0.05)
-
-    def test_no_equilibrium_at_desired_speed(self):
-        with pytest.raises(ValueError):
-            equilibrium_gap(30.0, 30.0, IdmParams())
 
     def test_collision_raises(self):
         sim = quiet_sim()
