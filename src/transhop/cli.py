@@ -111,10 +111,8 @@ def cmd_analytic(cfg: dict, out_dir: str, seed: int, check: bool) -> int:
 
     # the distributed-range curve always uses the mean matching the fixed r,
     # so the two families are comparable point for point
-    r = float(cfg["comms"]["broadcast_range_m"])
-    r_min = float(cfg["comms"]["min_distance_m"])
-    cp = CommParams.fixed(r=r, r_min=r_min)
-    cp_dist = CommParams.exponential(lambda_r=1.0 / r, r_min=r_min)
+    cp = comm_params(cfg)
+    cp_dist = CommParams.exponential(lambda_r=1.0 / cp.fixed_r, r_min=cp.r_min)
 
     table_rows = []
     curve_rows = []

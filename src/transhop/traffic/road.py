@@ -431,10 +431,9 @@ class DirectionState:
         congestion flag.  Returns the new vids.
         """
         cnt = len(new["s"])
-        new["vid"] = (self._vid_counter + np.arange(cnt, dtype=np.int64)) * 2 + (
-            self.direction - 1
-        )
+        counters = self._vid_counter + np.arange(cnt, dtype=np.int64)
         self._vid_counter += cnt
+        new["vid"] = counters * 2 + (self.direction - 1)
         new.update(prev_s=new["s"], ema_speed=new["v"], congested=np.zeros(cnt, dtype=bool))
         for name, dtype in _COLUMNS:
             rows = np.asarray(new[name], dtype=dtype)

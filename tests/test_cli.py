@@ -185,6 +185,7 @@ class TestExitCodes:
     def test_config_errors(self, tmp_path):
         assert run(tmp_path, "analytic", config="trafic:\n  x: 1\n") == 2
         assert run(tmp_path, "analytic", config="analytic:\n  penetrations: [2.0]\n") == 2
+        assert run(tmp_path, "analytic", config="comms:\n  broadcast_range_m: 0\n") == 2
         assert run(tmp_path, "oracle", config="oracle:\n  samples: 0\n") == 2
         assert main(["analytic", "--config", str(tmp_path / "missing.yaml")]) == 2
 
