@@ -70,15 +70,21 @@ def _field(value) -> str:
     return str(value)
 
 
+def _create(path: str):
+    """Open path for writing, making its directory: a refused run leaves none."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return open(path, "w", newline="")
+
+
 def _write_csv(path: str, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with _create(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_field(v) for v in row) + "\n")
 
 
 def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", newline="") as fh:
+    with _create(path) as fh:
         fh.write(json.dumps(_plain(payload), sort_keys=True, indent=2) + "\n")
 
 
@@ -431,16 +437,16 @@ def cmd_jam(cfg: dict, out_dir: str, seed: int, check: bool) -> int:
         ],
         [
             [
-                row["message_id"],
-                row["kind"],
-                row["creation_time"],
-                row["source_x"],
-                row["tau1"],
-                row["tau2"],
-                row["tau3"],
-                row["delivery_x"],
+                rec.msg.id,
+                rec.msg.kind,
+                rec.msg.creation_time,
+                rec.msg.source_position,
+                rec.tau1,
+                rec.tau2,
+                rec.tau3,
+                rec.delivery_position,
             ]
-            for row in res.engine.record_rows()
+            for rec in res.engine.records
         ],
     )
 
@@ -519,7 +525,6 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         out_dir = args.output_dir if args.output_dir is not None else cfg["output_dir"]
         seed = args.seed if args.seed is not None else int(cfg["seed"])
-        os.makedirs(out_dir, exist_ok=True)
         return args.handler(cfg, out_dir, seed, args.check)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

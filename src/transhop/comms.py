@@ -37,19 +37,8 @@ class Message:
 
 
 @dataclass(frozen=True)
-class TransmissionRecord:
-    message_id: int
-    tau1: float
-    tau2: float
-    tau3: float
-    relay_id: int
-    receiver_id: int
-    delivery_position: float
-
-
-@dataclass(frozen=True)
 class Delivery:
-    """One reception event; the first one per message yields the record."""
+    """One reception event; the first per message completes its Transmission."""
 
     message_id: int
     receiver_vid: int
@@ -121,15 +110,16 @@ def _slot_in(start: float, t_prev: float, t_now: float, interval: float) -> bool
     return k >= 0 and start + k * interval > t_prev
 
 
-class _ActiveMessage:
-    """A message in flight and the progress of the relay carrying it.
+class Transmission:
+    """One message's trip from its source through one relay to a receiver.
 
     relay_vid stays None until the first hop; tau2/tau3 stay NaN until the
-    relay reaches the destination region and delivers.
+    relay reaches the destination region and delivers.  The first delivery
+    sets receiver_vid and delivery_position.
     """
 
     __slots__ = ("msg", "relay_vid", "pickup_time", "tau1", "tau2", "tau3", "dead",
-                 "delivered_to", "source_alive")
+                 "receiver_vid", "delivery_position", "delivered_to")
 
     def __init__(self, msg: Message):
         self.msg = msg
@@ -139,8 +129,9 @@ class _ActiveMessage:
         self.tau2 = math.nan
         self.tau3 = math.nan
         self.dead = False
+        self.receiver_vid: int | None = None
+        self.delivery_position = math.nan
         self.delivered_to = set()
-        self.source_alive = True
 
     @property
     def available(self) -> bool:
@@ -169,8 +160,9 @@ class CommsEngine:
     """Creates, hops, and delivers messages on top of a TrafficSim.
 
     Call after_step(sim) once after every sim.step().  Records accumulate
-    in .records (first delivery per message), .deliveries (every reception
-    when jam_detection is on), and the per-stage sample lists.
+    in .records (each Transmission at its first delivery), .deliveries
+    (every reception when jam_detection is on), and the per-stage sample
+    lists.  landmark_probe is the direction-1 probe at landmark_x, or None.
     """
 
     def __init__(self, sim: TrafficSim, cfg: CommsConfig):
@@ -179,7 +171,7 @@ class CommsEngine:
         self.cfg = cfg
         self.generation_enabled = True
         self.messages: dict[int, Message] = {}
-        self.records: list[TransmissionRecord] = []
+        self.records: list[Transmission] = []
         self.deliveries: list[Delivery] = []
         self.tau1_samples: list[float] = []
         self.tau2_samples: list[float] = []
@@ -188,13 +180,13 @@ class CommsEngine:
         self.delivered = 0
         self.dead_source_exit = 0
         self.dead_relay_exit = 0
-        self._active: dict[int, _ActiveMessage] = {}
+        self._active: dict[int, Transmission] = {}
         self._next_id = 0
         self._last_t = sim.t
         self._pending_fronts: list[tuple] = []
-        self._landmark_probe: CrossingProbe | None = None
+        self.landmark_probe: CrossingProbe | None = None
         if cfg.landmark_x is not None:
-            self._landmark_probe = sim.add_probe(cfg.landmark_x, direction=1)
+            self.landmark_probe = sim.add_probe(cfg.landmark_x, direction=1)
         if cfg.jam_detection:
             sim.state_hooks.append(self._jam_hook)
 
@@ -217,9 +209,8 @@ class CommsEngine:
         )
         self._next_id += 1
         self.messages[msg.id] = msg
-        self._active[msg.id] = _ActiveMessage(msg)
+        self._active[msg.id] = Transmission(msg)
         self.created += 1
-        return msg
 
     def _jam_hook(self, sim: TrafficSim, t: float):
         state = sim.state(1)
@@ -241,10 +232,10 @@ class CommsEngine:
         t_prev = self._last_t
         self._last_t = t_now
 
-        if self._landmark_probe is not None:
-            for t, vid, _lane, _v, equipped in self._landmark_probe.drain():
+        if self.landmark_probe is not None:
+            for t, vid, _lane, _v, equipped in self.landmark_probe.drain():
                 if equipped and self.generation_enabled:
-                    self._new_message(KIND_LANDMARK, vid, self._landmark_probe.x, t)
+                    self._new_message(KIND_LANDMARK, vid, self.landmark_probe.x, t)
         for kind, vid, x, t in self._pending_fronts:
             self._new_message(kind, vid, x, t, front_position=x, front_time=t)
         self._pending_fronts.clear()
@@ -269,68 +260,66 @@ class CommsEngine:
         interval = self.cfg.broadcast_interval
         all_deliveries = self.cfg.jam_detection
         finished = []
-        for mid, am in self._active.items():
-            msg = am.msg
+        for mid, tx in self._active.items():
+            msg = tx.msg
 
-            # stage 1: the source broadcasts until the nearest relay takes it
-            if am.relay_vid is None and am.source_alive:
+            # stage 1: the source broadcasts until the nearest relay takes it;
+            # the message is lost if its source leaves the road first
+            if tx.relay_vid is None:
                 si = idx1.find(msg.source_vid)
                 if si < 0:
-                    am.source_alive = False
-                elif _slot_in(msg.creation_time, t_prev, t_now, interval):
+                    self.dead_source_exit += 1
+                    finished.append(mid)
+                    continue
+                if _slot_in(msg.creation_time, t_prev, t_now, interval):
                     xs = float(x1[si])
                     lo = int(np.searchsorted(xe2, xs - r, side="left"))
                     hi = int(np.searchsorted(xe2, xs + r, side="right"))
                     if hi > lo:
                         j = min(range(lo, hi), key=lambda j: abs(float(xe2[j]) - xs))
-                        am.relay_vid = int(ve2[j])
-                        am.pickup_time = t_now
-                        am.tau1 = t_now - msg.creation_time
-                        self.tau1_samples.append(am.tau1)
+                        tx.relay_vid = int(ve2[j])
+                        tx.pickup_time = t_now
+                        tx.tau1 = t_now - msg.creation_time
+                        self.tau1_samples.append(tx.tau1)
 
             # stages 2 and 3: the relay carries it upstream and delivers
-            relayed = am.relay_vid is not None
-            if relayed and not am.dead and (all_deliveries or not am.delivered):
-                ri = idx2.find(am.relay_vid)
+            relayed = tx.relay_vid is not None
+            if relayed and not tx.dead and (all_deliveries or not tx.delivered):
+                ri = idx2.find(tx.relay_vid)
                 if ri < 0:
-                    am.dead = True
-                    if not am.delivered:
+                    tx.dead = True
+                    if not tx.delivered:
                         self.dead_relay_exit += 1
                 else:
-                    self._relay_step(am, float(x2[ri]), t_prev, t_now, xe1, ve1)
+                    self._relay_step(tx, float(x2[ri]), t_prev, t_now, xe1, ve1)
 
             # retire the message once nothing more can happen to it
-            if not relayed:
-                if am.source_alive:
-                    continue
-                self.dead_source_exit += 1
-            elif not (am.dead or (am.delivered and not all_deliveries)):
-                continue
-            finished.append(mid)
+            if tx.dead or (tx.delivered and not all_deliveries):
+                finished.append(mid)
         for mid in finished:
             del self._active[mid]
 
-    def _relay_step(self, am, xr, t_prev, t_now, xe1, ve1):
+    def _relay_step(self, tx, xr, t_prev, t_now, xe1, ve1):
         """Availability and delivery for a relay now at xr.
 
         xe1/ve1 are the equipped direction-1 positions (ascending) and vids.
         """
-        msg = am.msg
+        msg = tx.msg
         r = self.cfg.broadcast_range
         avail_bound = msg.source_position - self.cfg.min_distance
-        if not am.available and xr <= avail_bound + r:
-            am.tau2 = t_now - msg.creation_time
-            self.tau2_samples.append(am.tau2)
-        if not am.available:
+        if not tx.available and xr <= avail_bound + r:
+            tx.tau2 = t_now - msg.creation_time
+            self.tau2_samples.append(tx.tau2)
+        if not tx.available:
             return
-        if not _slot_in(am.pickup_time, t_prev, t_now, self.cfg.broadcast_interval):
+        if not _slot_in(tx.pickup_time, t_prev, t_now, self.cfg.broadcast_interval):
             return
         hi_bound = min(xr + r, avail_bound)
         lo = int(np.searchsorted(xe1, xr - r, side="left"))
         hi = int(np.searchsorted(xe1, hi_bound, side="right"))
         receivers = [
             j for j in range(hi - 1, lo - 1, -1)
-            if int(ve1[j]) not in am.delivered_to
+            if int(ve1[j]) not in tx.delivered_to
         ]
         if not self.cfg.jam_detection:
             receivers = receivers[:1]
@@ -342,44 +331,15 @@ class CommsEngine:
                     f"message {msg.id} delivered at x={pos} beyond the destination "
                     f"region (x <= {avail_bound})"
                 )
-            am.delivered_to.add(rec_vid)
+            tx.delivered_to.add(rec_vid)
             self.deliveries.append(Delivery(msg.id, rec_vid, t_now, pos))
-            if not am.delivered:
-                am.tau3 = t_now - msg.creation_time
-                self.tau3_samples.append(am.tau3)
-                self.records.append(
-                    TransmissionRecord(
-                        message_id=msg.id,
-                        tau1=am.tau1,
-                        tau2=am.tau2,
-                        tau3=am.tau3,
-                        relay_id=am.relay_vid,
-                        receiver_id=rec_vid,
-                        delivery_position=pos,
-                    )
-                )
+            if not tx.delivered:
+                tx.tau3 = t_now - msg.creation_time
+                self.tau3_samples.append(tx.tau3)
+                tx.receiver_vid = rec_vid
+                tx.delivery_position = pos
+                self.records.append(tx)
                 self.delivered += 1
-
-    # -- exports ---------------------------------------------------------
-
-    def record_rows(self):
-        """Join of records with their messages, for CSV export."""
-        rows = []
-        for rec in self.records:
-            msg = self.messages[rec.message_id]
-            rows.append(
-                {
-                    "message_id": rec.message_id,
-                    "kind": msg.kind,
-                    "creation_time": msg.creation_time,
-                    "source_x": msg.source_position,
-                    "tau1": rec.tau1,
-                    "tau2": rec.tau2,
-                    "tau3": rec.tau3,
-                    "delivery_x": rec.delivery_position,
-                }
-            )
-        return rows
 
 
 @dataclass(frozen=True)

@@ -112,18 +112,35 @@ DEFAULTS = {
 }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_kind(default, value, dotted):
+    """A number or list default takes only its own kind; list items follow
+    the default's first item."""
+    if _is_number(default) and not _is_number(value):
+        raise ConfigError(f"'{dotted}' must be a number, not {value!r}")
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"'{dotted}' must be a list, not {value!r}")
+        for k, item in enumerate(value):
+            _check_kind(default[0], item, f"{dotted}[{k}]")
+
+
 def _merge(defaults, override, path):
     if not isinstance(override, dict):
         raise ConfigError(f"section '{path}' must be a mapping")
     merged = copy.deepcopy(defaults)
     for key, value in override.items():
+        dotted = f"{path}.{key}".lstrip(".")
         if key not in defaults:
-            dotted = f"{path}.{key}".lstrip(".")
             raise ConfigError(f"unknown configuration key '{dotted}'")
         if isinstance(defaults[key], dict):
-            merged[key] = _merge(defaults[key], value, f"{path}.{key}")
+            value = _merge(defaults[key], value, f"{path}.{key}")
         else:
-            merged[key] = value
+            _check_kind(defaults[key], value, dotted)
+        merged[key] = value
     return merged
 
 
@@ -146,13 +163,9 @@ def load_config(path: str | None) -> dict:
 
 
 def _positive(value, key):
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"'{key}' must be a number") from None
     if value <= 0.0:
         raise ConfigError(f"'{key}' must be positive")
-    return value
+    return float(value)
 
 
 def comm_params(cfg: dict) -> CommParams:
@@ -254,7 +267,7 @@ def validation_cells(cfg: dict, seed: int) -> list[CellConfig]:
     """
     v = cfg["validate"]
     specs = v["cells"]
-    if not isinstance(specs, list) or not specs:
+    if not specs:
         raise ConfigError("validate.cells must be a non-empty list")
     if len(specs) > 1 and int(v["replicates"]) > 100:
         raise ConfigError(
@@ -268,13 +281,13 @@ def validation_cells(cfg: dict, seed: int) -> list[CellConfig]:
             raise ConfigError(
                 "validate.cells entries must be mappings with keys lanes, penetration"
             )
-        lanes = int(spec.get("lanes", 2))
-        if lanes < 1:
-            raise ConfigError("validate.cells lanes must be at least 1")
-        alpha = float(spec.get("penetration", 0.05))
-        if not 0.0 < alpha <= 1.0:
-            raise ConfigError("validate.cells penetration must lie in (0, 1]")
-        road = road_config(cfg, n_lanes=lanes, equipped_fraction=alpha)
+        lanes = spec.get("lanes", 2)
+        if not _is_number(lanes) or lanes < 1:
+            raise ConfigError(f"'validate.cells[{idx}].lanes' must be a number, at least 1")
+        alpha = spec.get("penetration", 0.05)
+        if not _is_number(alpha) or not 0.0 < alpha <= 1.0:
+            raise ConfigError(f"'validate.cells[{idx}].penetration' must lie in (0, 1]")
+        road = road_config(cfg, n_lanes=int(lanes), equipped_fraction=float(alpha))
         try:
             cells.append(
                 CellConfig(

@@ -11,6 +11,7 @@ Cells are self-contained and picklable, so sweeps run in a process pool.
 
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -50,6 +51,10 @@ class CellConfig:
             raise ValueError("need at least one message")
 
 
+# the engine's message counters that a CellResult carries, summed when pooled
+_COUNTS = ("created", "delivered", "dead_source_exit", "dead_relay_exit")
+
+
 @dataclass
 class CellResult:
     lanes: int
@@ -76,7 +81,6 @@ def run_validation_cell(cell: CellConfig) -> CellResult:
         sim.step()
         engine.after_step(sim)
     measure_start = sim.t
-    det1 = sim.add_probe(cell.comm.landmark_x, direction=1)
     det2 = sim.add_probe(cell.comm.landmark_x, direction=2)
     engine.generation_enabled = True
 
@@ -96,10 +100,7 @@ def run_validation_cell(cell: CellConfig) -> CellResult:
         lanes=cell.road.n_lanes,
         alpha=cell.road.equipped_fraction,
         seed=cell.seed,
-        created=engine.created,
-        delivered=engine.delivered,
-        dead_source_exit=engine.dead_source_exit,
-        dead_relay_exit=engine.dead_relay_exit,
+        **{k: getattr(engine, k) for k in _COUNTS},
         sim_time=sim.t,
         truncated=truncated,
         samples={
@@ -107,7 +108,7 @@ def run_validation_cell(cell: CellConfig) -> CellResult:
             "tau2": np.asarray(engine.tau2_samples, dtype=float),
             "tau3": np.asarray(engine.tau3_samples, dtype=float),
         },
-        reading1=detector_reading(det1, measure_start, sim.t),
+        reading1=detector_reading(engine.landmark_probe, measure_start, sim.t),
         reading2=detector_reading(det2, measure_start, sim.t),
     )
 
@@ -149,20 +150,11 @@ def merge_results(results) -> CellResult:
     if not results:
         raise ValueError("nothing to merge")
     first = results[0]
-    samples = {
-        k: np.concatenate([r.samples[k] for r in results]) for k in first.samples
-    }
-    return CellResult(
-        lanes=first.lanes,
-        alpha=first.alpha,
-        seed=first.seed,
-        created=sum(r.created for r in results),
-        delivered=sum(r.delivered for r in results),
-        dead_source_exit=sum(r.dead_source_exit for r in results),
-        dead_relay_exit=sum(r.dead_relay_exit for r in results),
-        sim_time=sum(r.sim_time for r in results),
+    return replace(
+        first,
+        **{k: sum(getattr(r, k) for r in results) for k in (*_COUNTS, "sim_time")},
         truncated=any(r.truncated for r in results),
-        samples=samples,
+        samples={k: np.concatenate([r.samples[k] for r in results]) for k in first.samples},
         reading1=_pool_readings([r.reading1 for r in results]),
         reading2=_pool_readings([r.reading2 for r in results]),
     )
@@ -198,15 +190,9 @@ def evaluate_cell(result: CellResult, comm: CommParams) -> dict:
     tc = measured_conditions(result)
     report = stats.comparison_report(result.samples, analytics.stage_cdfs(tc, comm))
     return {
-        "lanes": result.lanes,
-        "alpha": result.alpha,
-        "seed": result.seed,
-        "created": result.created,
-        "delivered": result.delivered,
-        "dead_source_exit": result.dead_source_exit,
-        "dead_relay_exit": result.dead_relay_exit,
+        **{k: getattr(result, k) for k in ("lanes", "alpha", "seed", "truncated")},
+        **{k: getattr(result, k) for k in _COUNTS},
         "sim_time_s": result.sim_time,
-        "truncated": result.truncated,
         "measured": {
             "v1_kmh": tc.v1 * 3.6,
             "v2_kmh": tc.v2 * 3.6,
@@ -251,27 +237,17 @@ class JamResult:
     front_x: np.ndarray
     front_speed: float | None
     age_stats: object
-    trajectories: dict
     trajectory_rows: list
     engine: CommsEngine
     counters: dict
 
 
 def _front_positions(field_t, field_x, field_v, v_cong, x_lo, x_hi):
-    ts, xs = [], []
-    for k in range(field_t.size):
-        row = field_v[k]
-        mask = (
-            np.isfinite(row)
-            & (row < v_cong)
-            & (field_x >= x_lo)
-            & (field_x <= x_hi)
-        )
-        idx = np.flatnonzero(mask)
-        if idx.size:
-            ts.append(field_t[k])
-            xs.append(field_x[idx[0]])
-    return np.asarray(ts, dtype=float), np.asarray(xs, dtype=float)
+    """Times with a congested cell in [x_lo, x_hi] (empty NaN cells never are), and
+    the lowest such cell at each."""
+    mask = (field_v < v_cong) & (field_x >= x_lo) & (field_x <= x_hi)
+    hit = mask.any(axis=1)
+    return field_t[hit], field_x[mask[hit].argmax(axis=1)]
 
 
 def run_jam_scenario(cfg: JamConfig) -> JamResult:
@@ -283,7 +259,6 @@ def run_jam_scenario(cfg: JamConfig) -> JamResult:
     centers = 0.5 * (edges[:-1] + edges[1:])
     field_rows = []
     field_times = []
-    traj: dict[int, list] = {}
     traj_rows = []
 
     field_every = max(1, round(cfg.field_dt / cfg.road.dt))
@@ -296,12 +271,10 @@ def run_jam_scenario(cfg: JamConfig) -> JamResult:
             d1 = sim.state(1)
             xs = d1.x
             for i in np.flatnonzero(d1.equipped):
-                vid = int(d1.vid[i])
-                traj.setdefault(vid, []).append((sim.t, float(xs[i])))
                 traj_rows.append(
                     (
                         sim.t,
-                        vid,
+                        int(d1.vid[i]),
                         1,
                         int(d1.lane[i]),
                         float(xs[i]),
@@ -324,18 +297,8 @@ def run_jam_scenario(cfg: JamConfig) -> JamResult:
     v_cong = cfg.comm.jam.v_congested
     near_lo = bneck.s_start - 1000.0
     near_hi = bneck.s_start + bneck.width + 200.0
-    breakdown_time = None
-    for k in range(field_t.size):
-        row = field_v[k]
-        mask = (
-            np.isfinite(row)
-            & (row < v_cong)
-            & (centers >= near_lo)
-            & (centers <= near_hi)
-        )
-        if np.any(mask):
-            breakdown_time = float(field_t[k])
-            break
+    near_t, _ = _front_positions(field_t, centers, field_v, v_cong, near_lo, near_hi)
+    breakdown_time = float(near_t[0]) if near_t.size else None
 
     front_t, front_x = _front_positions(
         field_t, centers, field_v, v_cong, 500.0, near_hi
@@ -347,13 +310,10 @@ def run_jam_scenario(cfg: JamConfig) -> JamResult:
             slope = np.polyfit(front_t[sel], front_x[sel], 1)[0]
             front_speed = -float(slope)
 
-    trajectories = {
-        vid: (
-            np.asarray([p[0] for p in pts], dtype=float),
-            np.asarray([p[1] for p in pts], dtype=float),
-        )
-        for vid, pts in traj.items()
-    }
+    by_vid: dict[int, list] = {}
+    for t, vid, _direction, _lane, x, _v, _equipped in traj_rows:
+        by_vid.setdefault(vid, []).append((t, x))
+    trajectories = {vid: np.asarray(pts, dtype=float).T for vid, pts in by_vid.items()}
     try:
         age_stats = message_age_at_distance(
             engine.messages, engine.deliveries, trajectories, cfg.age_distance
@@ -361,25 +321,23 @@ def run_jam_scenario(cfg: JamConfig) -> JamResult:
     except ValueError:
         age_stats = None
 
+    created = Counter(m.kind for m in engine.messages.values())
+    # deliveries that reached receivers at least 1 km upstream of the front;
+    # landmark messages have a NaN front and never count
+    far = Counter(
+        engine.messages[d.message_id].kind
+        for d in engine.deliveries
+        if d.position <= engine.messages[d.message_id].front_position - 1000.0
+    )
     counters = {
         "created": engine.created,
         "delivered": engine.delivered,
         "deliveries_total": len(engine.deliveries),
-        "upstream_created": sum(
-            1 for m in engine.messages.values() if m.kind == "UpstreamJamFront"
-        ),
-        "downstream_created": sum(
-            1 for m in engine.messages.values() if m.kind == "DownstreamJamFront"
-        ),
+        "upstream_created": created["UpstreamJamFront"],
+        "downstream_created": created["DownstreamJamFront"],
+        "upstream_delivered_far": far["UpstreamJamFront"],
+        "downstream_delivered_far": far["DownstreamJamFront"],
     }
-    # deliveries that reached receivers at least 1 km upstream of the front
-    far = {"UpstreamJamFront": 0, "DownstreamJamFront": 0}
-    for d in engine.deliveries:
-        msg = engine.messages[d.message_id]
-        if msg.kind in far and d.position <= msg.front_position - 1000.0:
-            far[msg.kind] += 1
-    counters["upstream_delivered_far"] = far["UpstreamJamFront"]
-    counters["downstream_delivered_far"] = far["DownstreamJamFront"]
     return JamResult(
         field_t=field_t,
         field_x=centers,
@@ -389,7 +347,6 @@ def run_jam_scenario(cfg: JamConfig) -> JamResult:
         front_x=front_x,
         front_speed=front_speed,
         age_stats=age_stats,
-        trajectories=trajectories,
         trajectory_rows=traj_rows,
         engine=engine,
         counters=counters,

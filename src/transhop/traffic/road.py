@@ -157,49 +157,40 @@ class DetectorReading:
 
 
 class CrossingProbe:
-    """Records every vehicle of one direction crossing a fixed position."""
+    """Records every vehicle of one direction crossing a fixed position.
+
+    rows holds one (t, vid, lane, v, equipped) tuple per crossing, in order.
+    """
 
     def __init__(self, x: float, direction: int, s_pos: float):
         self.x = x
         self.direction = direction
         self.s_pos = s_pos
-        self.times = []
-        self.vids = []
-        self.lanes = []
-        self.speeds = []
-        self.equipped = []
+        self.rows = []
         self._drained = 0
 
     def _observe(self, state: "DirectionState", t: float):
         hit = np.flatnonzero((state.prev_s < self.s_pos) & (state.s >= self.s_pos))
         for i in hit:
-            self.times.append(t)
-            self.vids.append(int(state.vid[i]))
-            self.lanes.append(int(state.lane[i]))
-            self.speeds.append(float(state.v[i]))
-            self.equipped.append(bool(state.equipped[i]))
+            self.rows.append((t, int(state.vid[i]), int(state.lane[i]), float(state.v[i]),
+                              bool(state.equipped[i])))
 
     def drain(self):
-        """New crossings since the previous drain, as (t, vid, lane, v, equipped)."""
-        lo = self._drained
-        hi = len(self.times)
-        self._drained = hi
-        return [
-            (self.times[i], self.vids[i], self.lanes[i], self.speeds[i], self.equipped[i])
-            for i in range(lo, hi)
-        ]
+        """New crossings since the previous drain."""
+        new = self.rows[self._drained:]
+        self._drained = len(self.rows)
+        return new
 
 
 def detector_reading(probe: CrossingProbe, t_start: float, t_end: float):
     """Reading over (t_start, t_end], or None if nothing crossed."""
     if t_end <= t_start:
         raise ValueError("empty measurement window")
-    times = np.asarray(probe.times, dtype=float)
-    sel = (times > t_start) & (times <= t_end)
-    n = int(np.count_nonzero(sel))
+    speeds = [v for t, _vid, _lane, v, _eq in probe.rows if t_start < t <= t_end]
+    n = len(speeds)
     if n == 0:
         return None
-    speeds = np.maximum(np.asarray(probe.speeds, dtype=float)[sel], 0.01)
+    speeds = np.maximum(np.asarray(speeds, dtype=float), 0.01)
     flow = n / (t_end - t_start)
     mean_speed = n / float(np.sum(1.0 / speeds))
     return DetectorReading(

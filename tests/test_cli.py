@@ -210,3 +210,58 @@ class TestExitCodes:
             assert run(tmp_path, command, config="comms:\n  range_model: exponential\n") == 2
             assert "comms.range_model" in capsys.readouterr().err
             assert [p.name for p in tmp_path.iterdir()] == ["run.yaml"]
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("analytic", "comms:\n  broadcast_range_m: 0\n"),
+            ("validate", "validate:\n  messages: ten\n"),
+        ],
+    )
+    def test_refused_run_leaves_no_output_dir(self, tmp_path, command, config):
+        p = tmp_path / "run.yaml"
+        p.write_text(config)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(p), "--output-dir", str(out)]) == 2
+        assert not out.exists()
+
+    def test_output_dir_made_on_first_write(self, tmp_path):
+        out = tmp_path / "a" / "b"
+        assert main(["analytic", "--output-dir", str(out)]) == 0
+        assert (out / "analytic_table.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, config, key",
+        [
+            ("analytic", "seed: abc\n", "seed"),
+            ("validate", "validate:\n  replicates: x\n", "validate.replicates"),
+            ("validate", "traffic:\n  lanes_per_direction: x\n", "traffic.lanes_per_direction"),
+            ("validate", "comms:\n  landmark_x_m: x\n", "comms.landmark_x_m"),
+            ("validate", "traffic:\n  mobil:\n    politeness: x\n", "traffic.mobil.politeness"),
+            ("jam", "jam:\n  penetration: x\n", "jam.penetration"),
+            ("analytic", "analytic:\n  quantiles: [x]\n", "analytic.quantiles"),
+            ("oracle", "oracle:\n  penetrations: [x]\n", "oracle.penetrations"),
+            ("oracle", "oracle:\n  samples: 2e6\n", "oracle.samples"),  # YAML reads a string
+            (
+                "validate",
+                "validate:\n  cells:\n    - {lanes: x, penetration: 0.05}\n",
+                "validate.cells",
+            ),
+        ],
+    )
+    def test_non_numeric_value_refused_before_any_run(
+        self, tmp_path, capsys, monkeypatch, command, config, key
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("ran despite the bad config")
+
+        monkeypatch.setattr("transhop.cli.replicate_cell", no_run)
+        monkeypatch.setattr("transhop.cli.run_jam_scenario", no_run)
+        monkeypatch.setattr("transhop.oracle.sample_arrays", no_run)
+        p = tmp_path / "run.yaml"
+        p.write_text(config)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(p), "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert not out.exists()

@@ -15,7 +15,7 @@ from transhop.comms import (
     message_age_at_distance,
     update_jam_state,
 )
-from transhop.traffic.road import InflowProfile, RoadConfig, TrafficSim
+from transhop.traffic.road import InflowProfile, RoadConfig, TrafficSim, detector_reading
 
 V = 25.0  # everyone drives 25 m/s in the hand-built scenes
 
@@ -88,8 +88,8 @@ class TestSingleHopChain:
         assert rec.tau1 == 0.75
         assert rec.tau2 == 41.25
         assert rec.tau3 == 60.75
-        assert rec.relay_id == relay
-        assert rec.receiver_id == rcv
+        assert rec.relay_vid == relay
+        assert rec.receiver_vid == rcv
         # the receiver trails the source in the same lane, so it falls a few
         # centimeters short of the ballistic position over the minute
         assert rec.delivery_position == pytest.approx(2000.0 + V * 60.75, abs=0.1)
@@ -102,13 +102,13 @@ class TestSingleHopChain:
         assert engine.tau2_samples == [41.25]
         assert engine.tau3_samples == [60.75]
 
-    def test_record_rows_join(self):
+    def test_record_carries_its_message(self):
         engine, _, _ = self.run_chain()
-        (row,) = engine.record_rows()
-        assert row["kind"] == KIND_LANDMARK
-        assert row["creation_time"] == 0.0
-        assert row["source_x"] == 5000.0
-        assert (row["tau1"], row["tau2"], row["tau3"]) == (0.75, 41.25, 60.75)
+        (rec,) = engine.records
+        assert rec.msg.kind == KIND_LANDMARK
+        assert rec.msg.creation_time == 0.0
+        assert rec.msg.source_position == 5000.0
+        assert (rec.tau1, rec.tau2, rec.tau3) == (0.75, 41.25, 60.75)
 
     def test_delivery_stays_inside_destination_region(self):
         engine, _, _ = self.run_chain()
@@ -122,7 +122,7 @@ class TestSingleHopChain:
         assert engine.tau1_samples == [rec.tau1]
         assert engine.tau2_samples == [rec.tau2]
         assert engine.tau3_samples == [rec.tau3]
-        delivery = Delivery(rec.message_id, rcv, rec.tau3, rec.delivery_position)
+        delivery = Delivery(rec.msg.id, rcv, rec.tau3, rec.delivery_position)
         assert engine.deliveries == [delivery]
 
 
@@ -145,7 +145,7 @@ class TestHopSelection:
         drive(sim, engine, 70.0)
         assert engine.tau1_samples == [0.25]  # one hop, in the first step
         (rec,) = engine.records
-        assert rec.relay_id == near
+        assert rec.relay_vid == near
 
     def test_unequipped_relay_is_invisible(self):
         sim, engine = scene()
@@ -171,7 +171,7 @@ class TestReceiverSelection:
     def test_downstream_receiver_preferred(self):
         engine, ahead, behind = self.geometry()
         assert len(engine.records) == 1
-        assert engine.records[0].receiver_id == ahead
+        assert engine.records[0].receiver_vid == ahead
         # single-delivery mode never hands the message to the second vehicle
         assert all(d.receiver_vid == ahead for d in engine.deliveries)
 
@@ -179,7 +179,7 @@ class TestReceiverSelection:
         engine, ahead, behind = self.geometry(jam_detection=True)
         got = {d.receiver_vid for d in engine.deliveries}
         assert got == {ahead, behind}
-        assert engine.records[0].receiver_id == ahead  # record keeps the first
+        assert engine.records[0].receiver_vid == ahead  # record keeps the first
 
 
 class TestPeriodicBroadcast:
@@ -249,6 +249,23 @@ class TestLandmarkCreation:
         assert [m.creation_time for m in by_time] == [c[0] for c in crossings]
         assert all(m.source_position == 3000.0 for m in by_time)
         assert all(m.kind == KIND_LANDMARK for m in by_time)
+
+    def test_landmark_probe_reads_like_a_probe_added_later(self):
+        """A cell's direction-1 detector is the engine's landmark probe: over
+        (t0, t1] it reads exactly what a probe added at t0 reads."""
+        cfg = RoadConfig(length=6000.0, equipped_fraction=0.1)
+        sim = TrafficSim(cfg, seed=11)
+        engine = CommsEngine(sim, CommsConfig(landmark_x=3000.0))
+        drive(sim, engine, 300.0)
+        rows = engine.landmark_probe.rows
+        while rows[-1][0] != sim.t:  # end on a step with a crossing, left out below
+            drive(sim, engine, cfg.dt)
+        t0 = sim.t
+        late = sim.add_probe(3000.0, 1)
+        drive(sim, engine, 300.0)
+        reading = detector_reading(engine.landmark_probe, t0, sim.t)
+        assert reading.count > 20
+        assert reading == detector_reading(late, t0, sim.t)
 
     def test_no_equipment_no_messages(self):
         sim, engine = scene(length=6000.0, landmark_x=3000.0)
