@@ -12,14 +12,3 @@ statistics:
 * :mod:`transhop.traffic` / :mod:`transhop.comms` - a microscopic two-lane-
   direction freeway simulation with an explicit message lifecycle.
 """
-
-from .params import TrafficConditions, CommParams, FixedRange, ExponentialRange
-
-__all__ = [
-    "TrafficConditions",
-    "CommParams",
-    "FixedRange",
-    "ExponentialRange",
-]
-
-__version__ = "0.1.0"

@@ -14,19 +14,12 @@ destination region is everything at or below -r_min.
 import math
 
 import numpy as np
-from scipy import integrate
 
 from .params import CommParams, TrafficConditions
 
 # Relative rate difference below which the two-exponential delivery mixture
 # collapses to its confluent limit.
 DEGENERACY_RTOL = 1e-9
-
-# Quadrature controls for the range-averaged delivery curve.  The range
-# integral is cut where the remaining range-density tail mass drops below
-# exp(-30) < 1e-12.
-_QUAD_EPSABS = 1e-10
-_QUAD_TAIL_LENGTHS = 30.0
 
 CURVE_QUANTITIES = ("P1", "P2", "P3", "P3dist")
 
@@ -38,29 +31,6 @@ def _as_array(x):
 
 def _ret(arr, scalar):
     return float(arr) if scalar else arr
-
-
-def relay_position_density(x, tc: TrafficConditions, r: float):
-    """Density of the initial relay position, a shifted exponential.
-
-    The relay is the nearest equipped oncoming vehicle that is not already
-    behind the source's broadcast reach, so its position X2 satisfies
-    X2 >= -r and the excess X2 + r is exponential with rate lambda2.
-
-    Args:
-        x: position relative to the source (m), scalar or array.
-        tc: traffic conditions (only lambda2 enters).
-        r: broadcast range (m).
-
-    Returns:
-        density value(s) in 1/m; integrates to one over [-r, inf).
-    """
-    if r <= 0.0:
-        raise ValueError("broadcast range must be positive")
-    xs, scalar = _as_array(x)
-    lam2 = tc.lambda2
-    out = np.where(xs >= -r, lam2 * np.exp(-lam2 * (xs + r)), 0.0)
-    return _ret(out, scalar)
 
 
 def first_hop_cdf(tau, tc: TrafficConditions, r: float):
@@ -159,32 +129,15 @@ def delivery_cdf_symmetric(tau, lam: float, v: float, cp: CommParams):
     return _ret(out, scalar)
 
 
-def _distributed_coefficients(tau, tc, cp):
-    """Closed form of the range-averaged delivery curve (exponential ranges)."""
-    lam_r = cp.range_rate
-    lam2 = tc.lambda2
-    lam1e = tc.lambda_tilde1
-    eps = lam1e - lam2
-    shortfall = cp.r_min - tc.v2 * tau  # ground still missing at range -> 0
-    r0 = np.maximum(0.0, 0.5 * shortfall)
-    # Combined exponents: for r0 > 0 they cancel exactly, avoiding overflow of
-    # the individual factors.
-    e1 = np.exp(lam2 * (shortfall - 2.0 * r0))
-    e2 = np.exp(lam1e * (shortfall - 2.0 * r0))
-    w1 = lam_r / (lam_r + 2.0 * lam2)
-    w2 = lam_r / (lam_r + 2.0 * lam1e)
-    bracket = 1.0 - (lam1e / eps) * w1 * e1 + (lam2 / eps) * w2 * e2
-    return np.exp(-lam_r * r0) * bracket
-
-
 def delivery_cdf_distributed(tau, tc: TrafficConditions, cp: CommParams):
     """Delivery-time distribution with per-message exponential broadcast ranges.
 
     One range value is drawn per message and reused for both hops, so the
     result is the range-density-weighted average of the fixed-range delivery
-    curve.  Evaluated in closed form; in the degenerate case
-    lambda_tilde1 == lambda2 (within DEGENERACY_RTOL) the weighted average is
-    integrated numerically instead.
+    curve, evaluated in closed form.  When |lambda_tilde1 - lambda2| is below
+    DEGENERACY_RTOL relative to the larger rate, the bracket takes its limit
+    1 - w exp(lambda2 d) (1 + 2 lambda2 / (lambda_r + 2 lambda2) - lambda2 d),
+    with d = r_min - v2 tau - 2 r0 and w = lambda_r / (lambda_r + 2 lambda2).
 
     Requires the exponential range model (use delivery_cdf for fixed ranges).
     """
@@ -192,31 +145,22 @@ def delivery_cdf_distributed(tau, tc: TrafficConditions, cp: CommParams):
     taus, scalar = _as_array(tau)
     lam2 = tc.lambda2
     lam1e = tc.lambda_tilde1
-    if abs(lam1e - lam2) <= DEGENERACY_RTOL * max(lam1e, lam2):
-        flat = np.atleast_1d(taus)
-        out = np.array([_distributed_by_quadrature(t, tc, cp) for t in flat])
-        out = out.reshape(taus.shape)
+    eps = lam1e - lam2
+    shortfall = cp.r_min - tc.v2 * taus  # ground still missing at range -> 0
+    r0 = np.maximum(0.0, 0.5 * shortfall)
+    # Combined exponents: for r0 > 0 they cancel exactly, avoiding overflow of
+    # the individual factors.
+    d = shortfall - 2.0 * r0
+    e1 = np.exp(lam2 * d)
+    w1 = lam_r / (lam_r + 2.0 * lam2)
+    if abs(eps) <= DEGENERACY_RTOL * max(lam1e, lam2):
+        bracket = 1.0 - w1 * e1 * (1.0 + 2.0 * lam2 / (lam_r + 2.0 * lam2) - lam2 * d)
     else:
-        out = _distributed_coefficients(taus, tc, cp)
-    out = np.clip(out, 0.0, 1.0)
+        e2 = np.exp(lam1e * d)
+        w2 = lam_r / (lam_r + 2.0 * lam1e)
+        bracket = 1.0 - (lam1e / eps) * w1 * e1 + (lam2 / eps) * w2 * e2
+    out = np.clip(np.exp(-lam_r * r0) * bracket, 0.0, 1.0)
     return _ret(out, scalar)
-
-
-def _distributed_by_quadrature(tau: float, tc: TrafficConditions, cp: CommParams) -> float:
-    """Range-weighted average of the fixed-range delivery curve, numerically."""
-    lam_r = cp.range_rate
-    hi = _QUAD_TAIL_LENGTHS / lam_r
-
-    def integrand(rr):
-        inner = CommParams.fixed(rr, cp.r_min)
-        return lam_r * math.exp(-lam_r * rr) * delivery_cdf(tau, tc, inner)
-
-    # The fixed-range curve switches on at r = (r_min - v2 tau) / 2; give the
-    # kink to the integrator explicitly when it falls inside the domain.
-    kink = 0.5 * (cp.r_min - tc.v2 * tau)
-    pts = [kink] if 0.0 < kink < hi else None
-    val, _ = integrate.quad(integrand, 0.0, hi, points=pts, limit=200, epsabs=_QUAD_EPSABS)
-    return min(max(val, 0.0), 1.0)
 
 
 def delivery_time_quantile(q: float, lam: float, v: float, cp: CommParams) -> float:

@@ -45,23 +45,6 @@ EXIT_COLLISION = 3
 # -- deterministic serialization --------------------------------------------
 
 
-def _plain(obj):
-    """Recursively strip numpy types so json emits plain Python scalars."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
-
-
 def _field(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
@@ -84,8 +67,10 @@ def _write_csv(path: str, header, rows) -> None:
 
 
 def _write_json(path: str, payload: dict) -> None:
+    # np.float64 is a float; numpy ints, bools and arrays go through tolist()
+    text = json.dumps(payload, sort_keys=True, indent=2, default=lambda o: o.tolist())
     with _create(path) as fh:
-        fh.write(json.dumps(_plain(payload), sort_keys=True, indent=2) + "\n")
+        fh.write(text + "\n")
 
 
 def _run_checks(checks) -> int:

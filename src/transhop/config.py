@@ -116,11 +116,17 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_whole(value) -> bool:
+    return _is_number(value) and (isinstance(value, int) or value.is_integer())
+
+
 def _check_kind(default, value, dotted):
-    """A number or list default takes only its own kind; list items follow
-    the default's first item."""
+    """A number or list default takes only its own kind, an int default only a
+    whole number; list items follow the default's first item."""
     if _is_number(default) and not _is_number(value):
         raise ConfigError(f"'{dotted}' must be a number, not {value!r}")
+    if type(default) is int and not _is_whole(value):
+        raise ConfigError(f"'{dotted}' must be a whole number, not {value!r}")
     if isinstance(default, list):
         if not isinstance(value, list):
             raise ConfigError(f"'{dotted}' must be a list, not {value!r}")
@@ -282,8 +288,8 @@ def validation_cells(cfg: dict, seed: int) -> list[CellConfig]:
                 "validate.cells entries must be mappings with keys lanes, penetration"
             )
         lanes = spec.get("lanes", 2)
-        if not _is_number(lanes) or lanes < 1:
-            raise ConfigError(f"'validate.cells[{idx}].lanes' must be a number, at least 1")
+        if not _is_whole(lanes) or lanes < 1:
+            raise ConfigError(f"'validate.cells[{idx}].lanes' must be a whole number, at least 1")
         alpha = spec.get("penetration", 0.05)
         if not _is_number(alpha) or not 0.0 < alpha <= 1.0:
             raise ConfigError(f"'validate.cells[{idx}].penetration' must lie in (0, 1]")

@@ -145,35 +145,53 @@ class TestStructure:
 class TestDistributedRanges:
     CP_DIST = CommParams.exponential(lambda_r=1.0 / 200.0, r_min=1000.0)
 
-    def test_matches_quadrature(self):
-        tc = symmetric(0.05)
-        lam_r = self.CP_DIST.range_rate
+    @staticmethod
+    def by_quadrature(tau, tc, lam_r):
+        def integrand(r0):
+            inner = CommParams.fixed(r0, 1000.0)
+            return lam_r * np.exp(-lam_r * r0) * analytics.delivery_cdf(tau, tc, inner)
 
-        def by_quadrature(tau):
-            def integrand(r0):
-                inner = CommParams.fixed(r0, 1000.0)
-                return lam_r * np.exp(-lam_r * r0) * analytics.delivery_cdf(tau, tc, inner)
+        kink = 0.5 * (1000.0 - tc.v2 * tau)
+        hi = 40.0 / lam_r
+        pts = [kink] if 0.0 < kink < hi else None
+        val, _ = integrate.quad(
+            integrand, 0.0, hi, points=pts, limit=300, epsabs=1e-12, epsrel=1e-12
+        )
+        return val
 
-            kink = 0.5 * (1000.0 - tc.v2 * tau)
-            hi = 40.0 / lam_r
-            pts = [kink] if 0.0 < kink < hi else None
-            val, _ = integrate.quad(
-                integrand, 0.0, hi, points=pts, limit=300, epsabs=1e-12, epsrel=1e-12
-            )
-            return val
-
-        for tau in (5.0, 20.0, 40.0, 80.0, 160.0, 320.0):
-            closed = analytics.delivery_cdf_distributed(tau, tc, self.CP_DIST)
-            assert closed == pytest.approx(by_quadrature(tau), abs=1e-8)
-
-    def test_degenerate_falls_back_to_quadrature(self):
+    @staticmethod
+    def degenerate(rel_eps=0.0):
+        # rho1 chosen so that lambda_tilde1 = lambda2 (1 + rel_eps)
         v1, v2, rho2, alpha = 25.0, 25.0, 0.03, 0.05
         lam2 = alpha * rho2
-        rho1_star = lam2 * v2 / (alpha * (v1 + v2))
-        tc = TrafficConditions(v1, v2, rho1_star, rho2, alpha)
-        got = analytics.delivery_cdf_distributed(np.array([40.0, 80.0]), tc, self.CP_DIST)
-        assert np.all((got >= 0.0) & (got <= 1.0))
-        assert got[1] > got[0]
+        rho1 = (1.0 + rel_eps) * lam2 * v2 / (alpha * (v1 + v2))
+        return TrafficConditions(v1, v2, rho1, rho2, alpha)
+
+    def test_matches_quadrature(self):
+        tc = symmetric(0.05)
+        for tau in (5.0, 20.0, 40.0, 80.0, 160.0, 320.0):
+            closed = analytics.delivery_cdf_distributed(tau, tc, self.CP_DIST)
+            assert closed == pytest.approx(
+                self.by_quadrature(tau, tc, self.CP_DIST.range_rate), abs=1e-8
+            )
+
+    def test_degenerate_limit_matches_quadrature(self):
+        tc = self.degenerate()
+        assert tc.lambda_tilde1 == pytest.approx(tc.lambda2, rel=1e-12)
+        for tau in (5.0, 20.0, 40.0, 80.0, 160.0, 320.0):
+            closed = analytics.delivery_cdf_distributed(tau, tc, self.CP_DIST)
+            assert closed == pytest.approx(
+                self.by_quadrature(tau, tc, self.CP_DIST.range_rate), abs=1e-10
+            )
+
+    def test_continuous_across_the_degenerate_branch(self):
+        taus = np.array([5.0, 20.0, 40.0, 80.0, 160.0, 320.0])
+        limit = analytics.delivery_cdf_distributed(taus, self.degenerate(), self.CP_DIST)
+        for rel_eps in (-1e-6, 1e-6):
+            near = analytics.delivery_cdf_distributed(
+                taus, self.degenerate(rel_eps), self.CP_DIST
+            )
+            assert np.abs(near - limit).max() < 1e-6
 
     def test_fixed_model_rejected(self):
         with pytest.raises(ValueError):
@@ -201,19 +219,6 @@ class TestCurves:
             analytics.cdf_function("P9", symmetric(0.05), COMM)
 
 
-class TestRelayDensity:
-    def test_normalization_and_support(self):
-        tc = symmetric(0.05)
-        val, _ = integrate.quad(
-            lambda x: analytics.relay_position_density(x, tc, 200.0), -200.0, 2e5
-        )
-        assert val == pytest.approx(1.0, abs=1e-9)
-        assert analytics.relay_position_density(-201.0, tc, 200.0) == 0.0
-        assert analytics.relay_position_density(-200.0, tc, 200.0) == pytest.approx(
-            tc.lambda2
-        )
-
-
 class TestErrors:
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
@@ -222,8 +227,6 @@ class TestErrors:
     def test_nonpositive_range_rejected(self):
         with pytest.raises(ValueError):
             analytics.first_hop_cdf(1.0, symmetric(0.05), 0.0)
-        with pytest.raises(ValueError):
-            analytics.relay_position_density(0.0, symmetric(0.05), -5.0)
 
     def test_quantile_level_bounds(self):
         lam = symmetric(0.05).lambda2

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -20,6 +23,15 @@ def run(tmp_path, *args, config=None):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def test_import_leaves_out_quadrature():
+    # the closed forms need no numerical integration, so the CLI never loads it
+    src = os.path.dirname(os.path.dirname(analytics.__file__))
+    code = "import sys, transhop.cli; print('scipy.integrate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.stdout == "False\n", out.stderr
 
 
 class TestAnalytic:
@@ -250,6 +262,35 @@ class TestExitCodes:
         ],
     )
     def test_non_numeric_value_refused_before_any_run(
+        self, tmp_path, capsys, monkeypatch, command, config, key
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("ran despite the bad config")
+
+        monkeypatch.setattr("transhop.cli.replicate_cell", no_run)
+        monkeypatch.setattr("transhop.cli.run_jam_scenario", no_run)
+        monkeypatch.setattr("transhop.oracle.sample_arrays", no_run)
+        p = tmp_path / "run.yaml"
+        p.write_text(config)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(p), "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, config, key",
+        [
+            ("analytic", "seed: 7.5\n", "seed"),
+            ("validate", "traffic:\n  lanes_per_direction: 2.5\n", "traffic.lanes_per_direction"),
+            ("oracle", "oracle:\n  samples: 1000.5\n", "oracle.samples"),
+            ("validate", "validate:\n  messages: 10.9\n", "validate.messages"),
+            ("validate", "validate:\n  replicates: 1.5\n", "validate.replicates"),
+            ("validate", "validate:\n  cells:\n    - {lanes: 1.5}\n", "validate.cells[0].lanes"),
+            ("jam", "jam:\n  bottleneck:\n    direction: 1.5\n", "jam.bottleneck.direction"),
+        ],
+    )
+    def test_fractional_integer_refused_before_any_run(
         self, tmp_path, capsys, monkeypatch, command, config, key
     ):
         def no_run(*args, **kwargs):

@@ -153,6 +153,16 @@ class TestValidationCells:
             with pytest.raises(ConfigError, match=msg):
                 config.validation_cells(config.load_config(write(tmp_path, body)), seed=1)
 
+    def test_whole_float_is_an_integer(self, tmp_path):
+        body = (
+            "traffic:\n  lanes_per_direction: 3.0\n"
+            "validate:\n  cells:\n    - {lanes: 1.0}\n  messages: 12.0\n"
+        )
+        cfg = config.load_config(write(tmp_path, body))
+        cell = config.validation_cells(cfg, seed=1)[0]
+        got = (config.road_config(cfg).n_lanes, cell.road.n_lanes, cell.messages)
+        assert got == (3, 1, 12) and all(type(x) is int for x in got)
+
     def test_full_penetration_allowed(self, tmp_path):
         cfg = config.load_config(write(tmp_path, "validate:\n  cells:\n    - {penetration: 1.0}\n"))
         assert config.validation_cells(cfg, seed=1)[0].road.equipped_fraction == 1.0
