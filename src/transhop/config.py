@@ -341,7 +341,8 @@ def jam_scenario(cfg: dict, seed: int) -> JamConfig:
         inflow2=InflowProfile(points=((0.0, base_rate),)),
         bottlenecks=(bneck,),
     )
-    comm = comms_config(cfg, jam_detection=True)
+    # jam messages come from the fronts only, none from the landmark
+    comm = comms_config(cfg, jam_detection=True, landmark_x=None)
     try:
         return JamConfig(
             road=road,

@@ -322,8 +322,7 @@ def run_jam_scenario(cfg: JamConfig) -> JamResult:
         age_stats = None
 
     created = Counter(m.kind for m in engine.messages.values())
-    # deliveries that reached receivers at least 1 km upstream of the front;
-    # landmark messages have a NaN front and never count
+    # deliveries that reached receivers at least 1 km upstream of the front
     far = Counter(
         engine.messages[d.message_id].kind
         for d in engine.deliveries

@@ -175,7 +175,7 @@ class TestJamScenario:
         assert jc.duration == 5400.0
         assert jc.peak_end == 2400.0
         assert jc.road.equipped_fraction == 0.01
-        assert jc.comm.jam_detection
+        assert jc.comm.jam_detection and jc.comm.landmark_x is None
         b = jc.road.bottlenecks[0]
         assert (b.direction, b.width, b.extra_headway) == (1, 400.0, 1.4)
         assert list(jc.road.inflow1.ts) == [0.0, 600.0, 2400.0, 3000.0, 5400.0]

@@ -46,11 +46,11 @@ RUNS = {
 GOLDEN = {
     "validate_report.json": "651e436a93ea5749fa9b78b9e754ab0856bd630c03bf88ab6db35e2f2203f57c",
     "validate_records.csv": "19ea3d490fbee430263afc2b090bcb73ce704ac8f96e8e287d26cccc3ff908f8",
-    "jam_events.json": "1ffdd9fa4de9094a7d15dd4f9947955d07431138681ae1bb111cea2afe931f17",
+    "jam_events.json": "50ea923a9d35f346a7685d3781d3a6ec0c3ff2dba2bbef7fdae9d39fbee6ee56",
     "jam_speed_field.csv": "5bf8c0ce2b80e6054a7faf29b73739f4227922846a06856a1222b5f7cb362ef3",
     "jam_front.csv": "e830a8193577469f61df436d0ddb298d35ce932b286fa1ebbad8e359ae7fa41f",
     "jam_trajectories.csv": "026f9c583e4514189fea6e3f7c7579be953d5b81875089f05fbe4bace1c60329",
-    "jam_records.csv": "f90e6c832bcd7acc8aa8582125fb42460fa159c418d48febbe508657af4d6298",
+    "jam_records.csv": "8044a9b917e5266986d21799b95f4908d78a701dcca800eca667892a349eb249",
     "oracle_report.json": "1c6ea502c0a3fe613f17313ea0f4dec83776802e2a0f3ad849f90d10a223fc31",
     "analytic_table.csv": "db602cd297840d692acd2d9505ba5ecac12412afc89a2596c70f8d7a05ff2e47",
     "analytic_curves.csv": "e9913768a54db50bd53739656e2fd898586a3abe212346fa2835dbc063389cf9",
