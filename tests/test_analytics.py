@@ -12,6 +12,13 @@ def symmetric(alpha: float) -> TrafficConditions:
     return TrafficConditions.symmetric(v=25.0, rho=0.03, alpha=alpha)
 
 
+def degenerate(rel_eps: float = 0.0) -> TrafficConditions:
+    """Conditions with lambda_tilde1 = lambda2 (1 + rel_eps)."""
+    v1, v2, rho2, alpha = 25.0, 25.0, 0.03, 0.05
+    rho1 = (1.0 + rel_eps) * rho2 * v2 / (v1 + v2)
+    return TrafficConditions(v1, v2, rho1, rho2, alpha)
+
+
 class TestFrozenValues:
     """Reference numbers computed independently and pinned."""
 
@@ -145,52 +152,34 @@ class TestStructure:
 class TestDistributedRanges:
     CP_DIST = CommParams.exponential(lambda_r=1.0 / 200.0, r_min=1000.0)
 
-    @staticmethod
-    def by_quadrature(tau, tc, lam_r):
-        def integrand(r0):
-            inner = CommParams.fixed(r0, 1000.0)
-            return lam_r * np.exp(-lam_r * r0) * analytics.delivery_cdf(tau, tc, inner)
-
-        kink = 0.5 * (1000.0 - tc.v2 * tau)
-        hi = 40.0 / lam_r
-        pts = [kink] if 0.0 < kink < hi else None
-        val, _ = integrate.quad(
-            integrand, 0.0, hi, points=pts, limit=300, epsabs=1e-12, epsrel=1e-12
-        )
-        return val
-
-    @staticmethod
-    def degenerate(rel_eps=0.0):
-        # rho1 chosen so that lambda_tilde1 = lambda2 (1 + rel_eps)
-        v1, v2, rho2, alpha = 25.0, 25.0, 0.03, 0.05
-        lam2 = alpha * rho2
-        rho1 = (1.0 + rel_eps) * lam2 * v2 / (alpha * (v1 + v2))
-        return TrafficConditions(v1, v2, rho1, rho2, alpha)
-
     def test_matches_quadrature(self):
-        tc = symmetric(0.05)
-        for tau in (5.0, 20.0, 40.0, 80.0, 160.0, 320.0):
-            closed = analytics.delivery_cdf_distributed(tau, tc, self.CP_DIST)
-            assert closed == pytest.approx(
-                self.by_quadrature(tau, tc, self.CP_DIST.range_rate), abs=1e-8
-            )
+        lam_r = self.CP_DIST.range_rate
 
-    def test_degenerate_limit_matches_quadrature(self):
-        tc = self.degenerate()
-        assert tc.lambda_tilde1 == pytest.approx(tc.lambda2, rel=1e-12)
-        for tau in (5.0, 20.0, 40.0, 80.0, 160.0, 320.0):
-            closed = analytics.delivery_cdf_distributed(tau, tc, self.CP_DIST)
-            assert closed == pytest.approx(
-                self.by_quadrature(tau, tc, self.CP_DIST.range_rate), abs=1e-10
+        def by_quadrature(tau, tc):
+            def integrand(r0):
+                inner = CommParams.fixed(r0, 1000.0)
+                return lam_r * np.exp(-lam_r * r0) * analytics.delivery_cdf(tau, tc, inner)
+
+            kink = 0.5 * (1000.0 - tc.v2 * tau)
+            hi = 40.0 / lam_r
+            pts = [kink] if 0.0 < kink < hi else None
+            val, _ = integrate.quad(
+                integrand, 0.0, hi, points=pts, limit=300, epsabs=1e-12, epsrel=1e-12
             )
+            return val
+
+        for tc in (symmetric(0.05), degenerate()):
+            for tau in (5.0, 20.0, 40.0, 80.0, 160.0, 320.0):
+                closed = analytics.delivery_cdf_distributed(tau, tc, self.CP_DIST)
+                assert closed == pytest.approx(by_quadrature(tau, tc), abs=1e-10)
 
     def test_continuous_across_the_degenerate_branch(self):
         taus = np.array([5.0, 20.0, 40.0, 80.0, 160.0, 320.0])
-        limit = analytics.delivery_cdf_distributed(taus, self.degenerate(), self.CP_DIST)
+        tc = degenerate()
+        assert abs(tc.lambda_tilde1 / tc.lambda2 - 1.0) < analytics.DEGENERACY_RTOL
+        limit = analytics.delivery_cdf_distributed(taus, tc, self.CP_DIST)
         for rel_eps in (-1e-6, 1e-6):
-            near = analytics.delivery_cdf_distributed(
-                taus, self.degenerate(rel_eps), self.CP_DIST
-            )
+            near = analytics.delivery_cdf_distributed(taus, degenerate(rel_eps), self.CP_DIST)
             assert np.abs(near - limit).max() < 1e-6
 
     def test_fixed_model_rejected(self):

@@ -259,28 +259,7 @@ class TestExitCodes:
                 "validate:\n  cells:\n    - {lanes: x, penetration: 0.05}\n",
                 "validate.cells",
             ),
-        ],
-    )
-    def test_non_numeric_value_refused_before_any_run(
-        self, tmp_path, capsys, monkeypatch, command, config, key
-    ):
-        def no_run(*args, **kwargs):
-            raise AssertionError("ran despite the bad config")
-
-        monkeypatch.setattr("transhop.cli.replicate_cell", no_run)
-        monkeypatch.setattr("transhop.cli.run_jam_scenario", no_run)
-        monkeypatch.setattr("transhop.oracle.sample_arrays", no_run)
-        p = tmp_path / "run.yaml"
-        p.write_text(config)
-        out = tmp_path / "out"
-        assert main([command, "--config", str(p), "--output-dir", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and key in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "command, config, key",
-        [
+            # an integer key takes only a whole number, never a truncated one
             ("analytic", "seed: 7.5\n", "seed"),
             ("validate", "traffic:\n  lanes_per_direction: 2.5\n", "traffic.lanes_per_direction"),
             ("oracle", "oracle:\n  samples: 1000.5\n", "oracle.samples"),
@@ -290,7 +269,7 @@ class TestExitCodes:
             ("jam", "jam:\n  bottleneck:\n    direction: 1.5\n", "jam.bottleneck.direction"),
         ],
     )
-    def test_fractional_integer_refused_before_any_run(
+    def test_wrong_kind_refused_before_any_run(
         self, tmp_path, capsys, monkeypatch, command, config, key
     ):
         def no_run(*args, **kwargs):
