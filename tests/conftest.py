@@ -1,5 +1,6 @@
 """Shared fixtures.  The simulation runs used by several end-to-end checks
-are expensive (minutes), so they are computed once per session."""
+are expensive (minutes), so they are computed once per session, and the
+tests that use them run after every other test, cheapest fixture first."""
 
 import pytest
 
@@ -10,6 +11,22 @@ from transhop.traffic.road import InflowProfile, RoadConfig
 
 INFLOW = 1200.0 / 3600.0
 LANDMARK_X = 10000.0
+
+# Session simulation fixtures in the order their tests run, cheapest first
+# (about 30 s, 6 min and 10 min on 2 cores).
+EXPENSIVE_FIXTURES = ("jam_result", "single_lane_sweep", "two_lane_cell")
+
+
+def pytest_collection_modifyitems(items):
+    """Run the tests of the expensive fixtures last, so a run reports every
+    other result before the long simulations start."""
+
+    def cost(item):
+        used = getattr(item, "fixturenames", ())
+        ranks = [i + 1 for i, name in enumerate(EXPENSIVE_FIXTURES) if name in used]
+        return max(ranks, default=0)
+
+    items.sort(key=cost)
 
 
 def make_cell(lanes: int, alpha: float, messages: int, seed: int) -> CellConfig:
