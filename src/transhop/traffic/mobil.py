@@ -5,8 +5,9 @@ politeness-weighted sum of the accelerations gained or lost by the new and
 old followers, clears a switching threshold; it is admissible only when the
 new follower is not forced below a safe braking limit and both new gaps are
 at least the standing minimum gap.  Decisions are computed in one vectorized
-pass per adjacent-lane pair; the road engine re-validates each winner
-against the mutating lane occupancy before applying it.
+pass over the candidates of every adjacent-lane pair; the road engine
+re-validates each winner against the mutating lane occupancy before
+applying it.
 
 Lane 0 is the rightmost lane and passing happens toward higher indices.
 An optional keep-right bias (off by default) raises the bar for moves to
@@ -47,7 +48,8 @@ def lane_members(lane: np.ndarray, n_lanes: int) -> list:
 
 
 def neighbor_maps(s: np.ndarray, lane: np.ndarray, n_lanes: int):
-    """Per-lane leader/follower indices for position-sorted vehicles.
+    """Per-lane leader/follower indices for vehicles sorted by position
+    within each lane.
 
     Returns (members, lead, fol): members is lane_members(); lead[i]/fol[i]
     are same-lane neighbor indices or -1.
@@ -74,36 +76,38 @@ def propose_lane_changes(
     accel: np.ndarray,
     headway: np.ndarray,
     maps,
+    n_lanes: int,
     idm_p: IdmParams,
     p: MobilParams,
 ):
     """Candidate lane changes for the current state.
 
-    s must be ascending.  accel is each vehicle's current acceleration and
-    headway its current effective time headway (arrays aligned with s);
-    maps is neighbor_maps() of the same state.
+    maps is neighbor_maps() of the state, split by road lane: the lanes of
+    one driving direction form a block of n_lanes consecutive road lanes,
+    and a vehicle may only move to the road lane beside it in its own
+    block.  s must be ascending within each road lane.  accel is each
+    vehicle's current acceleration and headway its current effective time
+    headway (arrays aligned with s).
 
     Returns:
         (idx, target, incentive) arrays, idx ascending and at most one entry
-        per vehicle.  When both neighbors qualify the larger surplus wins,
-        and on an exact tie the lower target lane.  Incentive is reported as
-        the surplus over the side's threshold so that scores of leftward and
-        rightward moves rank against each other fairly.
+        per vehicle, target a road lane.  When both neighbors qualify the
+        larger surplus wins, and on an exact tie the lower target lane.
+        Incentive is reported as the surplus over the side's threshold so
+        that scores of leftward and rightward moves rank against each other
+        fairly.
     """
     members, lead, fol = maps
-    n_lanes = len(members)
     length = idm_p.vehicle_length
 
-    picked = []
-    for src_lane in range(n_lanes):
-        src = members[src_lane]
+    # the target-lane neighbors of every (source lane, side) pair
+    parts = []
+    for src_lane, src in enumerate(members):
         if src.size == 0:
             continue
-        best_inc = np.full(src.size, -np.inf)
-        best_tgt = np.full(src.size, -1, dtype=np.int64)
         for tgt_lane in (src_lane - 1, src_lane + 1):
-            if not 0 <= tgt_lane < n_lanes:
-                continue
+            if tgt_lane // n_lanes != src_lane // n_lanes:
+                continue  # off the road, or a lane of the other block
             tgt = members[tgt_lane]
             if tgt.size:
                 pos = np.searchsorted(s[tgt], s[src], side="left")
@@ -112,67 +116,73 @@ def propose_lane_changes(
             else:
                 nl = np.full(src.size, -1, dtype=np.int64)
                 nf = np.full(src.size, -1, dtype=np.int64)
-
-            gap_nl = _gather(s, nl, 0.0) - s[src] - length
-            gap_nl = np.where(nl >= 0, gap_nl, _FREE_GAP)
-            v_nl = _gather(v, nl, 0.0)
-            v_nl = np.where(nl >= 0, v_nl, v[src])
-            own_new = idm_acceleration(v[src], v0[src], gap_nl, v_nl, idm_p, headway[src])
-
-            gap_nf = s[src] - _gather(s, nf, 0.0) - length
-            gap_nf = np.where(nf >= 0, gap_nf, _FREE_GAP)
-            nf_new = idm_acceleration(
-                _gather(v, nf, 0.0),
-                _gather(v0, nf, 1.0),
-                np.maximum(gap_nf, 1e-6),
-                v[src],
-                idm_p,
-                _gather(headway, nf, idm_p.time_headway),
-            )
-            nf_new = np.where(nf >= 0, nf_new, 0.0)
-            nf_old = _gather(accel, nf, 0.0)
-
-            of = fol[src]
-            cl = lead[src]
-            of_old = _gather(accel, of, 0.0)
-            gap_of = _gather(s, cl, 0.0) - _gather(s, of, 0.0) - length
-            gap_of = np.where((of >= 0) & (cl >= 0), gap_of, _FREE_GAP)
-            v_cl = np.where(cl >= 0, _gather(v, cl, 0.0), _gather(v, of, 0.0))
-            of_new = idm_acceleration(
-                _gather(v, of, 0.0),
-                _gather(v0, of, 1.0),
-                np.maximum(gap_of, 1e-6),
-                v_cl,
-                idm_p,
-                _gather(headway, of, idm_p.time_headway),
-            )
-            of_new = np.where(of >= 0, of_new, 0.0)
-
-            incentive = (own_new - accel[src]) + p.politeness * (
-                (nf_new - nf_old) + (of_new - of_old)
-            )
             if tgt_lane > src_lane:
                 side_threshold = p.threshold + p.keep_right_bias
             else:
                 side_threshold = p.threshold - p.keep_right_bias
-            surplus = incentive - side_threshold
-            admissible = (
-                (gap_nl >= idm_p.min_gap)
-                & (gap_nf >= idm_p.min_gap)
-                & (nf_new >= -p.safe_braking)
-                & (surplus > 0.0)
-            )
-            better = admissible & (surplus > best_inc)
-            best_inc[better] = surplus[better]
-            best_tgt[better] = tgt_lane
-        keep = best_tgt >= 0
-        picked.append((src[keep], best_tgt[keep], best_inc[keep]))
-
-    if not picked:
+            parts.append((src, nl, nf, tgt_lane, side_threshold))
+    if not parts:
         return (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, float))
-    idx, target, incentive = (np.concatenate(col) for col in zip(*picked))
-    order = np.argsort(idx)
-    return idx[order], target[order], incentive[order]
+    srcs, nls, nfs, tgt_lanes, thresholds = zip(*parts)
+    src, nl, nf = (np.concatenate(col) for col in (srcs, nls, nfs))
+    sizes = [a.size for a in srcs]
+    target = np.repeat(np.asarray(tgt_lanes, dtype=np.int64), sizes)
+    side_threshold = np.repeat(np.asarray(thresholds, dtype=float), sizes)
+
+    # every candidate scored at once
+    gap_nl = _gather(s, nl, 0.0) - s[src] - length
+    gap_nl = np.where(nl >= 0, gap_nl, _FREE_GAP)
+    v_nl = _gather(v, nl, 0.0)
+    v_nl = np.where(nl >= 0, v_nl, v[src])
+    own_new = idm_acceleration(v[src], v0[src], gap_nl, v_nl, idm_p, headway[src])
+
+    gap_nf = s[src] - _gather(s, nf, 0.0) - length
+    gap_nf = np.where(nf >= 0, gap_nf, _FREE_GAP)
+    nf_new = idm_acceleration(
+        _gather(v, nf, 0.0),
+        _gather(v0, nf, 1.0),
+        np.maximum(gap_nf, 1e-6),
+        v[src],
+        idm_p,
+        _gather(headway, nf, idm_p.time_headway),
+    )
+    nf_new = np.where(nf >= 0, nf_new, 0.0)
+    nf_old = _gather(accel, nf, 0.0)
+
+    of = fol[src]
+    cl = lead[src]
+    of_old = _gather(accel, of, 0.0)
+    gap_of = _gather(s, cl, 0.0) - _gather(s, of, 0.0) - length
+    gap_of = np.where((of >= 0) & (cl >= 0), gap_of, _FREE_GAP)
+    v_cl = np.where(cl >= 0, _gather(v, cl, 0.0), _gather(v, of, 0.0))
+    of_new = idm_acceleration(
+        _gather(v, of, 0.0),
+        _gather(v0, of, 1.0),
+        np.maximum(gap_of, 1e-6),
+        v_cl,
+        idm_p,
+        _gather(headway, of, idm_p.time_headway),
+    )
+    of_new = np.where(of >= 0, of_new, 0.0)
+
+    incentive = (own_new - accel[src]) + p.politeness * (
+        (nf_new - nf_old) + (of_new - of_old)
+    )
+    surplus = incentive - side_threshold
+    admissible = np.flatnonzero(
+        (gap_nl >= idm_p.min_gap)
+        & (gap_nf >= idm_p.min_gap)
+        & (nf_new >= -p.safe_braking)
+        & (surplus > 0.0)
+    )
+    src, target, surplus = src[admissible], target[admissible], surplus[admissible]
+
+    # one target per vehicle: the largest surplus, then the lower lane
+    order = np.lexsort((target, -surplus, src))
+    src, target, surplus = src[order], target[order], surplus[order]
+    first = np.ones(src.size, dtype=bool)
+    first[1:] = src[1:] != src[:-1]
+    return src[first], target[first], surplus[first]
 
 
 def revalidate_change(

@@ -6,7 +6,9 @@ each direction keeps its own driving coordinate s (distance traveled since
 the entry point), so both directions run the same update code; s and x
 coincide for direction 1 and are mirrored for direction 2.
 
-Per step: accelerations, ballistic advance with stop clamping, re-sort by
+Both directions' vehicles live in one stacked struct-of-arrays, direction
+1's rows first, so each vectorized phase runs once per step for both.  Per
+step: accelerations, ballistic advance with stop clamping, re-sort by
 position, lane changes on their own cadence, collision audit, crossing
 probes and state hooks (these see aligned before/after positions), exit
 removal, then arrivals and insertion.  Inflow is a thinned Poisson stream
@@ -33,7 +35,7 @@ from .mobil import (
 _FREE_GAP = 1.0e9
 _MIN_ENTRY_SPEED = 1.0
 
-# DirectionState's per-vehicle arrays, all aligned: name -> dtype
+# the stacked per-vehicle columns, all aligned: name -> dtype
 _COLUMNS = (
     ("s", float),
     ("prev_s", float),
@@ -205,20 +207,69 @@ def detector_reading(probe: CrossingProbe, t_start: float, t_end: float):
     )
 
 
-class DirectionState:
-    """Struct-of-arrays state for one driving direction.
+class _Stack:
+    """Both directions' per-vehicle columns as one struct-of-arrays.
 
-    Arrays stay sorted by (s, vid) between steps.  prev_s holds each
-    vehicle's position before the latest advance, aligned with the current
-    arrays, so probes can detect crossings after sorting.
+    Direction 1's rows come first, then direction 2's; rows
+    bounds[k - 1]:bounds[k] are direction k's block, sorted by (s, vid)
+    between steps.
     """
 
-    def __init__(self, direction: int, cfg: RoadConfig, seed: int):
+    def __init__(self):
+        self.cols = {name: np.empty(0, dtype=dtype) for name, dtype in _COLUMNS}
+        self.bounds = [0, 0, 0]
+
+    @property
+    def n(self) -> int:
+        return self.bounds[2]
+
+    def take(self, rows: np.ndarray, bounds: list):
+        """Keep the given rows, in that order, as blocks ending at bounds."""
+        for name, col in self.cols.items():
+            self.cols[name] = col[rows]
+        self.bounds = bounds
+
+    def resort(self):
+        """Restore each block's (s, vid) order."""
+        # one lexsort per block: a block key would interleave the blocks'
+        # vids and break up the runs that make the sort cheap
+        s, vid = self.cols["s"], self.cols["vid"]
+        perm = np.concatenate([
+            lo + np.lexsort((vid[lo:hi], s[lo:hi]))
+            for lo, hi in zip(self.bounds[:-1], self.bounds[1:])
+        ])
+        if not np.all(perm[:-1] < perm[1:]):
+            self.take(perm, self.bounds)
+
+    def insert(self, direction: int, rows: dict):
+        """Put rows (column name -> values) at the front of a direction's
+        block, then restore the (s, vid) order."""
+        at = self.bounds[direction - 1]
+        for name, dtype in _COLUMNS:
+            col = self.cols[name]
+            rows_k = np.asarray(rows[name], dtype=dtype)
+            self.cols[name] = np.concatenate((col[:at], rows_k, col[at:]))
+        cnt = len(rows["s"])
+        self.bounds = [b + cnt if k >= direction else b for k, b in enumerate(self.bounds)]
+        self.resort()
+
+
+class DirectionState:
+    """One driving direction: its random stream, inflow, pending arrivals,
+    bottlenecks and counters, and its block of the stacked vehicle columns.
+
+    Each column in _COLUMNS reads and writes a view of this direction's
+    rows, which stay sorted by (s, vid) between steps.  prev_s holds each
+    vehicle's position before the latest advance, aligned with the current
+    rows, so probes can detect crossings after sorting.  A state built on
+    its own keeps its rows in a stack of its own.
+    """
+
+    def __init__(self, direction: int, cfg: RoadConfig, seed: int, stack: _Stack = None):
         self.direction = direction
         self.cfg = cfg
         self.rng = np.random.default_rng([seed, direction])
-        for name, dtype in _COLUMNS:
-            setattr(self, name, np.empty(0, dtype=dtype))
+        self._stack = _Stack() if stack is None else stack
         self._vid_counter = 0
         self._pending = deque()
         profile = cfg.inflow1 if direction == 1 else cfg.inflow2
@@ -230,6 +281,11 @@ class DirectionState:
         self.blocked_steps = 0
         self.lane_changes = 0
         self._bottlenecks = [b for b in cfg.bottlenecks if b.direction == direction]
+
+    @property
+    def _rows(self) -> slice:
+        bounds = self._stack.bounds
+        return slice(bounds[self.direction - 1], bounds[self.direction])
 
     # -- coordinates ---------------------------------------------------
 
@@ -245,88 +301,8 @@ class DirectionState:
 
     @property
     def n(self) -> int:
-        return int(self.s.size)
-
-    # -- dynamics ------------------------------------------------------
-
-    def effective_headway(self) -> np.ndarray:
-        headway = np.full(self.n, self.cfg.idm.time_headway)
-        for b in self._bottlenecks:
-            inside = (self.s >= b.s_start) & (self.s < b.s_start + b.width)
-            headway[inside] += b.extra_headway
-        return headway
-
-    def _neighbor_maps(self):
-        return neighbor_maps(self.s, self.lane, self.cfg.n_lanes)
-
-    def _accel(self, lead: np.ndarray, headway: np.ndarray) -> np.ndarray:
-        """IDM accelerations from neighbor_maps()'s leaders and effective_headway()."""
-        gap = self.s[lead] - self.s - self.cfg.idm.vehicle_length
-        lead_v = self.v[lead]
-        free = lead < 0  # first in its lane: nothing ahead
-        gap[free] = _FREE_GAP
-        lead_v[free] = self.v[free]
-        return idm_acceleration(self.v, self.v0, gap, lead_v, self.cfg.idm, headway)
-
-    def _advance(self, acc: np.ndarray, dt: float):
-        self.prev_s = self.s.copy()
-        v_before = self.v
-        v_after = v_before + acc * dt
-        stopping = v_after < 0.0
-        travel = np.where(
-            stopping,
-            v_before * v_before / (2.0 * np.maximum(-acc, 1e-12)),
-            0.5 * (v_before + np.maximum(v_after, 0.0)) * dt,
-        )
-        self.s = self.s + np.maximum(travel, 0.0)
-        self.v = np.maximum(v_after, 0.0)
-
-    def _permute(self, perm: np.ndarray):
-        for name, _ in _COLUMNS:
-            setattr(self, name, getattr(self, name)[perm])
-
-    def _resort(self):
-        perm = np.lexsort((self.vid, self.s))
-        if not np.all(perm[:-1] < perm[1:]):
-            self._permute(perm)
-
-    def _check_collisions(self, t: float):
-        for k, m in enumerate(lane_members(self.lane, self.cfg.n_lanes)):
-            if m.size < 2:
-                continue
-            sm = self.s[m]
-            gaps = sm[1:] - sm[:-1] - self.cfg.idm.vehicle_length
-            bad = np.nonzero(gaps < 0.0)[0]
-            if bad.size:
-                i = m[bad[0]]
-                j = m[bad[0] + 1]
-                raise CollisionError(
-                    f"t={t:.2f}s direction {self.direction} lane {k}: vehicles "
-                    f"{int(self.vid[i])} and {int(self.vid[j])} overlap "
-                    f"(gap {gaps[bad[0]]:.3f} m)"
-                )
-
-    def _lane_pass(self):
-        if self.cfg.n_lanes < 2 or self.n == 0:
-            return
-        maps = self._neighbor_maps()
-        headway = self.effective_headway()
-        acc = self._accel(maps[1], headway)
-        idx, target, incentive = propose_lane_changes(
-            self.s, self.v, self.v0, acc, headway, maps, self.cfg.idm, self.cfg.mobil,
-        )
-        if idx.size == 0:
-            return
-        order = np.argsort(-incentive, kind="stable")
-        for j in order:
-            i = int(idx[j])
-            tgt = int(target[j])
-            if revalidate_change(
-                i, tgt, self.s, self.v, self.v0, self.lane, headway,
-                self.cfg.idm, self.cfg.mobil,
-            ):
-                self.lane[i] = tgt
-                self.lane_changes += 1
+        rows = self._rows
+        return rows.stop - rows.start
 
     # -- boundaries ----------------------------------------------------
 
@@ -364,12 +340,13 @@ class DirectionState:
             return
         inserted_rows = []
         open_lanes = {}
+        s, v = self.s, self.v
         for k, m in enumerate(lane_members(self.lane, self.cfg.n_lanes)):
             if m.size:
                 tail = int(m[0])
                 open_lanes[k] = (
-                    float(self.s[tail]) - self.cfg.idm.vehicle_length,
-                    float(self.v[tail]),
+                    float(s[tail]) - self.cfg.idm.vehicle_length,
+                    float(v[tail]),
                 )
             else:
                 open_lanes[k] = (_FREE_GAP, -1.0)
@@ -396,14 +373,6 @@ class DirectionState:
             s=np.zeros(len(lanes)), lane=lanes, v=speeds, v0=desired, equipped=equipped
         )
 
-    def _remove_exited(self):
-        gone = self.s > self.cfg.length
-        if not np.any(gone):
-            return
-        keep = ~gone
-        self.exited += int(np.count_nonzero(gone))
-        self._permute(np.flatnonzero(keep))
-
     def seed_vehicle(self, x, lane, speed, desired_speed, equipped=False) -> int:
         """Place a vehicle directly; for tests and hand-built scenes."""
         s = self.s_of(x)
@@ -415,8 +384,8 @@ class DirectionState:
         return int(vid)
 
     def _add_vehicles(self, **new) -> np.ndarray:
-        """Prepend vehicles given by their s, lane, v, v0 and equipped values,
-        then restore the (s, vid) order.
+        """Put vehicles given by their s, lane, v, v0 and equipped values
+        into this direction's block, in (s, vid) order.
 
         They get fresh vids, prev_s = s, a smoothed speed of v and no
         congestion flag.  Returns the new vids.
@@ -426,26 +395,46 @@ class DirectionState:
         self._vid_counter += cnt
         new["vid"] = counters * 2 + (self.direction - 1)
         new.update(prev_s=new["s"], ema_speed=new["v"], congested=np.zeros(cnt, dtype=bool))
-        for name, dtype in _COLUMNS:
-            rows = np.asarray(new[name], dtype=dtype)
-            setattr(self, name, np.concatenate((rows, getattr(self, name))))
+        self._stack.insert(self.direction, new)
         self.inserted += cnt
-        self._resort()
         return new["vid"]
 
 
-class TrafficSim:
-    """Steps both directions and hosts probes and per-step state hooks.
+def _column(name: str) -> property:
+    """A DirectionState column: a view of the direction's rows of the
+    stacked column.  Assigning to it writes those rows in place."""
 
-    State hooks run after motion and lane changes but before exit removal
-    and insertion, so prev_s/s are aligned for every vehicle the hook sees.
+    def view(self):
+        return self._stack.cols[name][self._rows]
+
+    def write(self, values):
+        view(self)[...] = values
+
+    return property(view, write)
+
+
+for _name in dict(_COLUMNS):
+    setattr(DirectionState, _name, _column(_name))
+
+
+class TrafficSim:
+    """Steps both directions as one stacked vehicle state and hosts probes
+    and per-step state hooks.
+
+    Every vectorized phase runs once per step over the rows of both
+    directions.  Per-lane splits are keyed by the road lane,
+    (direction - 1) * n_lanes + lane, so a lane of one direction is never
+    next to a lane of the other.  State hooks run after motion and lane
+    changes but before exit removal and insertion, so prev_s/s are aligned
+    for every vehicle the hook sees.
     """
 
     def __init__(self, cfg: RoadConfig, seed: int):
         self.cfg = cfg
         self.t = 0.0
         self.step_count = 0
-        self.directions = {1: DirectionState(1, cfg, seed), 2: DirectionState(2, cfg, seed)}
+        self._stack = _Stack()
+        self.directions = {k: DirectionState(k, cfg, seed, self._stack) for k in (1, 2)}
         self.probes = []
         self.state_hooks = []
         self._mobil_every = max(1, round(cfg.mobil.interval / cfg.dt))
@@ -461,27 +450,122 @@ class TrafficSim:
         self.probes.append(probe)
         return probe
 
+    # -- dynamics ------------------------------------------------------
+
+    def _road_lanes(self) -> np.ndarray:
+        lane = self._stack.cols["lane"].copy()
+        lane[self._stack.bounds[1]:] += self.cfg.n_lanes
+        return lane
+
+    def _effective_headway(self) -> np.ndarray:
+        headway = np.full(self._stack.n, self.cfg.idm.time_headway)
+        for d in self.directions.values():
+            block = headway[d._rows]
+            s = d.s
+            for b in d._bottlenecks:
+                inside = (s >= b.s_start) & (s < b.s_start + b.width)
+                block[inside] += b.extra_headway
+        return headway
+
+    def _accel(self, lead: np.ndarray, headway: np.ndarray) -> np.ndarray:
+        """IDM accelerations from neighbor_maps()'s leaders and _effective_headway()."""
+        cols = self._stack.cols
+        s, v = cols["s"], cols["v"]
+        gap = s[lead] - s - self.cfg.idm.vehicle_length
+        lead_v = v[lead]
+        free = lead < 0  # first in its lane: nothing ahead
+        gap[free] = _FREE_GAP
+        lead_v[free] = v[free]
+        return idm_acceleration(v, cols["v0"], gap, lead_v, self.cfg.idm, headway)
+
+    def _advance(self, acc: np.ndarray, dt: float):
+        cols = self._stack.cols
+        v_before = cols["v"]
+        v_after = v_before + acc * dt
+        stopping = v_after < 0.0
+        travel = np.where(
+            stopping,
+            v_before * v_before / (2.0 * np.maximum(-acc, 1e-12)),
+            0.5 * (v_before + np.maximum(v_after, 0.0)) * dt,
+        )
+        cols["prev_s"] = cols["s"]
+        cols["s"] = cols["s"] + np.maximum(travel, 0.0)
+        cols["v"] = np.maximum(v_after, 0.0)
+
+    def _lane_pass(self):
+        lanes = self.cfg.n_lanes
+        if lanes < 2:
+            return
+        cols = self._stack.cols
+        s, v, v0, lane = cols["s"], cols["v"], cols["v0"], cols["lane"]
+        road_lanes = self._road_lanes()
+        maps = neighbor_maps(s, road_lanes, 2 * lanes)
+        headway = self._effective_headway()
+        acc = self._accel(maps[1], headway)
+        idx, target, incentive = propose_lane_changes(
+            s, v, v0, acc, headway, maps, lanes, self.cfg.idm, self.cfg.mobil,
+        )
+        if idx.size == 0:
+            return
+        # each direction's changes in its own order; a revalidation reads
+        # only its own direction's target lane, so interleaving them is safe
+        order = np.argsort(-incentive, kind="stable")
+        for j in order:
+            i = int(idx[j])
+            tgt = int(target[j])
+            if revalidate_change(
+                i, tgt, s, v, v0, road_lanes, headway, self.cfg.idm, self.cfg.mobil,
+            ):
+                road_lanes[i] = tgt
+                lane[i] = tgt % lanes
+                self.directions[tgt // lanes + 1].lane_changes += 1
+
+    def _check_collisions(self, t: float):
+        cols = self._stack.cols
+        s = cols["s"]
+        lanes = self.cfg.n_lanes
+        for k, m in enumerate(lane_members(self._road_lanes(), 2 * lanes)):
+            if m.size < 2:
+                continue
+            sm = s[m]
+            gaps = sm[1:] - sm[:-1] - self.cfg.idm.vehicle_length
+            bad = np.nonzero(gaps < 0.0)[0]
+            if bad.size:
+                i = m[bad[0]]
+                j = m[bad[0] + 1]
+                raise CollisionError(
+                    f"t={t:.2f}s direction {k // lanes + 1} lane {k % lanes}: vehicles "
+                    f"{int(cols['vid'][i])} and {int(cols['vid'][j])} overlap "
+                    f"(gap {gaps[bad[0]]:.3f} m)"
+                )
+
+    def _remove_exited(self):
+        gone = self._stack.cols["s"] > self.cfg.length
+        if not np.any(gone):
+            return
+        n1, n = self._stack.bounds[1], self._stack.n
+        gone1 = int(np.count_nonzero(gone[:n1]))
+        gone_all = int(np.count_nonzero(gone))
+        self.directions[1].exited += gone1
+        self.directions[2].exited += gone_all - gone1
+        self._stack.take(np.flatnonzero(~gone), [0, n1 - gone1, n - gone_all])
+
     def step(self):
         dt = self.cfg.dt
         t_new = self.t + dt
-        for d in self.directions.values():
-            if d.n:
-                acc = d._accel(d._neighbor_maps()[1], d.effective_headway())
-                d._advance(acc, dt)
-                d._resort()
-            else:
-                d.prev_s = d.s.copy()
+        s = self._stack.cols["s"]
+        _, lead, _ = neighbor_maps(s, self._road_lanes(), 2 * self.cfg.n_lanes)
+        self._advance(self._accel(lead, self._effective_headway()), dt)
+        self._stack.resort()
         if self.step_count % self._mobil_every == 0:
-            for d in self.directions.values():
-                d._lane_pass()
-        for d in self.directions.values():
-            d._check_collisions(t_new)
+            self._lane_pass()
+        self._check_collisions(t_new)
         for p in self.probes:
             p._observe(self.directions[p.direction], t_new)
         for hook in self.state_hooks:
             hook(self, t_new)
+        self._remove_exited()
         for d in self.directions.values():
-            d._remove_exited()
             d._collect_arrivals(t_new)
             d._try_insert()
         self.t = t_new

@@ -58,6 +58,18 @@ GOLDEN = {
 
 THREE_LANE = "2424b2aa6b30d7d9738a54ed95872633106dba8008dc986cdbf9dd73f8da34e5"
 
+# The 900-s jam run delivers nothing, so its jam_records.csv digest pins only
+# the header.  By 1200 s messages of both kinds have been delivered; these
+# are the rows cmd_jam writes for them.
+JAM_RECORDS_1200 = """\
+message_id,kind,creation_time,source_x,tau1,tau2,tau3,delivery_x
+2,DownstreamJamFront,898.75,10379.788460243657,30.0,117.75,136.5,8846.853071055677
+4,DownstreamJamFront,953.75,10389.200070298775,8.0,62.25,81.5,8846.853071055677
+0,UpstreamJamFront,784.0,9754.420025398626,144.75,254.25,285.0,7876.980638743629
+1,UpstreamJamFront,802.25,9651.175371846664,159.5,239.5,266.75,7876.980638743629
+3,UpstreamJamFront,935.5,9638.457685798421,62.75,106.75,133.5,7876.980638743629
+"""
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -71,6 +83,13 @@ def test_cli_outputs_match_golden(tmp_path, command):
     assert main([command, "--config", str(path), "--output-dir", str(tmp_path)]) == 0
     got = {name: _sha256((tmp_path / name).read_bytes()) for name in outputs}
     assert got == {name: GOLDEN[name] for name in outputs}
+
+
+def test_jam_records_rows_match_golden(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text("jam:\n  duration_s: 1200\n")
+    assert main(["jam", "--config", str(path), "--output-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "jam_records.csv").read_text() == JAM_RECORDS_1200
 
 
 def three_lane_digest() -> str:

@@ -128,10 +128,33 @@ def random_state(n_lanes, seed, n=300):
 def assert_same_as_reference(s, v, v0, lane, accel, headway, n_lanes, p):
     want = reference_propose_lane_changes(s, v, v0, lane, accel, headway, n_lanes, IDM, p)
     maps = neighbor_maps(s, lane, n_lanes)
-    got = propose_lane_changes(s, v, v0, accel, headway, maps, IDM, p)
+    got = propose_lane_changes(s, v, v0, accel, headway, maps, n_lanes, IDM, p)
     for w, g in zip(want, got):
         assert g.dtype == w.dtype
         assert np.array_equal(g, w)
+    return got
+
+
+def assert_blocks_match_reference(states, n_lanes, p):
+    """Stack the states as consecutive blocks of n_lanes road lanes each, the
+    way the road engine stacks its directions.  Each block's proposals must
+    be the reference loop's on that block alone, shifted to the block's rows
+    and road lanes."""
+    sizes = [state[0].size for state in states]
+    block = np.repeat(np.arange(len(states)), sizes)
+    s, v, v0, lane, accel, headway = (np.concatenate(col) for col in zip(*states))
+    maps = neighbor_maps(s, lane + n_lanes * block, n_lanes * len(states))
+    got = propose_lane_changes(s, v, v0, accel, headway, maps, n_lanes, IDM, p)
+    assert np.array_equal(got[1] // n_lanes, block[got[0]])  # no target leaves its block
+    first_row = 0
+    for b, (state, size) in enumerate(zip(states, sizes)):
+        idx, target, incentive = reference_propose_lane_changes(*state, n_lanes, IDM, p)
+        want = (idx + first_row, target + n_lanes * b, incentive)
+        mine = block[got[0]] == b
+        for w, g in zip(want, got):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g[mine], w)
+        first_row += size
     return got
 
 
@@ -145,6 +168,18 @@ def test_side_pick_matches_loop_reference(n_lanes, bias):
         idx, _, _ = assert_same_as_reference(*state, n_lanes, p)
         proposals += idx.size
     assert proposals > 100
+
+
+@pytest.mark.parametrize("n_lanes", [2, 3])
+@pytest.mark.parametrize("bias", [0.0, 0.3])
+def test_side_pick_matches_loop_reference_per_block(n_lanes, bias):
+    p = MobilParams(keep_right_bias=bias)
+    proposals = 0
+    for seed in range(20):
+        states = [random_state(n_lanes, seed), random_state(n_lanes, seed + 100, n=250)]
+        idx, _, _ = assert_blocks_match_reference(states, n_lanes, p)
+        proposals += idx.size
+    assert proposals > 200
 
 
 def test_exact_tie_goes_to_lower_lane():
@@ -169,6 +204,13 @@ def test_exact_tie_goes_to_lower_lane():
     assert idx.tolist() == [0]
     assert target.tolist() == [0]
     assert incentive[0] == up[0]
+
+    # the same scene in each of two stacked blocks: each takes its own lower lane
+    state = (s, v, v0, np.full(2, 1, dtype=np.int64), accel, headway)
+    idx, target, incentive = assert_blocks_match_reference([state, state], 3, p)
+    assert idx.tolist() == [0, 2]
+    assert target.tolist() == [0, 3]
+    assert incentive.tolist() == [up[0], up[0]]
 
 
 def test_single_lane_proposes_nothing():
