@@ -265,7 +265,7 @@ class DirectionState:
     its own keeps its rows in a stack of its own.
     """
 
-    def __init__(self, direction: int, cfg: RoadConfig, seed: int, stack: _Stack = None):
+    def __init__(self, direction: int, cfg: RoadConfig, seed: int, stack: _Stack | None = None):
         self.direction = direction
         self.cfg = cfg
         self.rng = np.random.default_rng([seed, direction])
