@@ -9,12 +9,14 @@ coincide for direction 1 and are mirrored for direction 2.
 Both directions' vehicles live in one stacked struct-of-arrays, direction
 1's rows first, so each vectorized phase runs once per step for both.  Per
 step: accelerations, ballistic advance with stop clamping, re-sort by
-position, lane changes on their own cadence, collision audit, crossing
-probes and state hooks (these see aligned before/after positions), exit
-removal, then arrivals and insertion.  Inflow is a thinned Poisson stream
-per lane, so time-varying demand keeps the per-direction random streams
-aligned: all draws for one direction come from its own generator, which
-makes each direction's evolution independent of the other's configuration.
+position (only where a block is out of order), lane changes on their own
+cadence, collision audit (from the step's leader map while no row moved),
+crossing probes and state hooks (these see aligned before/after
+positions), exit removal, then arrivals and insertion in place.  Inflow is
+a thinned Poisson stream per lane, so time-varying demand keeps the
+per-direction random streams aligned: all draws for one direction come
+from its own generator, which makes each direction's evolution independent
+of the other's configuration.
 """
 
 import math
@@ -34,6 +36,8 @@ from .mobil import (
 
 _FREE_GAP = 1.0e9
 _MIN_ENTRY_SPEED = 1.0
+_ENTRY_LEVELS = 30  # bisection levels of the entry-speed search
+_ENTRY_ROUND = 5  # levels resolved per IDM call; divides _ENTRY_LEVELS
 
 # the stacked per-vehicle columns, all aligned: name -> dtype
 _COLUMNS = (
@@ -56,17 +60,39 @@ def _entry_speed(v0, gap0, lead_speed, idm):
     Joining drivers adapt their speed to the room ahead instead of
     matching the leader; rejecting too many candidates at the boundary
     would bunch the admitted ones into artificial convoys.
+
+    A 30-level bisection on [0, v0], resolved _ENTRY_ROUND levels per IDM
+    call: each call scores every midpoint those levels could visit, in
+    heap order (node i's children are 2i + 1 below its midpoint and
+    2i + 2 above it), and the walk then takes the path a one-midpoint
+    loop would take, with the same Python-float midpoints.  The first
+    call also scores v0 itself.  An acceleration scored in an array can
+    differ in its last bit from a one-value call (numpy rounds `**` on
+    arrays and on scalars differently), which changes the result only if
+    a midpoint's acceleration lies within that rounding of the limit.
     """
     gap0 = max(gap0, 1e-6)
-    if idm_acceleration(v0, v0, gap0, lead_speed, idm) >= -idm.comfort_decel:
-        return v0
     lo, hi = 0.0, v0
-    for _ in range(30):
-        mid = 0.5 * (lo + hi)
-        if idm_acceleration(mid, v0, gap0, lead_speed, idm) >= -idm.comfort_decel:
-            lo = mid
-        else:
-            hi = mid
+    first = [v0]
+    for _ in range(_ENTRY_LEVELS // _ENTRY_ROUND):
+        spans = [(lo, hi)]
+        for k in range(2 ** (_ENTRY_ROUND - 1) - 1):
+            a, b = spans[k]
+            mid = 0.5 * (a + b)
+            spans += [(a, mid), (mid, b)]
+        mids = [0.5 * (a + b) for a, b in spans]
+        acc = idm_acceleration(np.asarray(first + mids), v0, gap0, lead_speed, idm)
+        ok = (acc >= -idm.comfort_decel).tolist()
+        if first:
+            if ok[0]:
+                return v0
+            first, ok = [], ok[1:]
+        i = 0
+        for _ in range(_ENTRY_ROUND):
+            if ok[i]:
+                lo, i = mids[i], 2 * i + 2
+            else:
+                hi, i = mids[i], 2 * i + 1
     return lo
 
 
@@ -229,29 +255,48 @@ class _Stack:
             self.cols[name] = col[rows]
         self.bounds = bounds
 
-    def resort(self):
-        """Restore each block's (s, vid) order."""
-        # one lexsort per block: a block key would interleave the blocks'
-        # vids and break up the runs that make the sort cheap
+    def resort(self) -> bool:
+        """Restore each block's (s, vid) order; return whether any block
+        needed sorting.
+
+        A block whose s strictly ascends is in order already.  A stable
+        argsort by s orders any other block, unless its sorted s has an
+        exact tie: only a lexsort puts tied rows in vid order.
+        """
         s, vid = self.cols["s"], self.cols["vid"]
-        perm = np.concatenate([
-            lo + np.lexsort((vid[lo:hi], s[lo:hi]))
-            for lo, hi in zip(self.bounds[:-1], self.bounds[1:])
-        ])
-        if not np.all(perm[:-1] < perm[1:]):
-            self.take(perm, self.bounds)
+        ascends = s[1:] > s[:-1]
+        perm = None
+        for lo, hi in zip(self.bounds[:-1], self.bounds[1:]):
+            if hi - lo < 2 or ascends[lo:hi - 1].all():
+                continue
+            order = np.argsort(s[lo:hi], kind="stable")
+            sorted_s = s[lo:hi][order]
+            if np.any(sorted_s[1:] == sorted_s[:-1]):
+                order = np.lexsort((vid[lo:hi], s[lo:hi]))
+            if perm is None:
+                perm = np.arange(self.n)
+            perm[lo:hi] = lo + order
+        if perm is None:
+            return False
+        self.take(perm, self.bounds)
+        return True
 
     def insert(self, direction: int, rows: dict):
-        """Put rows (column name -> values) at the front of a direction's
-        block, then restore the (s, vid) order."""
-        at = self.bounds[direction - 1]
+        """Put rows (column name -> values) that share one s into a
+        direction's block, after every row at or below that s.
+
+        The block is in (s, vid) order and the new rows carry fresh,
+        ascending vids, so the order holds without a sort.
+        """
+        lo, hi = self.bounds[direction - 1], self.bounds[direction]
+        s_new = float(rows["s"][0])
+        at = lo + int(np.searchsorted(self.cols["s"][lo:hi], s_new, side="right"))
         for name, dtype in _COLUMNS:
             col = self.cols[name]
             rows_k = np.asarray(rows[name], dtype=dtype)
             self.cols[name] = np.concatenate((col[:at], rows_k, col[at:]))
         cnt = len(rows["s"])
         self.bounds = [b + cnt if k >= direction else b for k, b in enumerate(self.bounds)]
-        self.resort()
 
 
 class DirectionState:
@@ -492,10 +537,12 @@ class TrafficSim:
         cols["s"] = cols["s"] + np.maximum(travel, 0.0)
         cols["v"] = np.maximum(v_after, 0.0)
 
-    def _lane_pass(self):
+    def _lane_pass(self) -> bool:
+        """Apply the MOBIL lane changes; return whether any vehicle changed
+        lane."""
         lanes = self.cfg.n_lanes
         if lanes < 2:
-            return
+            return False
         cols = self._stack.cols
         s, v, v0, lane = cols["s"], cols["v"], cols["v0"], cols["lane"]
         road_lanes = self._road_lanes()
@@ -506,10 +553,11 @@ class TrafficSim:
             s, v, v0, acc, headway, maps, lanes, self.cfg.idm, self.cfg.mobil,
         )
         if idx.size == 0:
-            return
+            return False
         # each direction's changes in its own order; a revalidation reads
         # only its own direction's target lane, so interleaving them is safe
         order = np.argsort(-incentive, kind="stable")
+        changed = False
         for j in order:
             i = int(idx[j])
             tgt = int(target[j])
@@ -519,10 +567,23 @@ class TrafficSim:
                 road_lanes[i] = tgt
                 lane[i] = tgt % lanes
                 self.directions[tgt // lanes + 1].lane_changes += 1
+                changed = True
+        return changed
 
-    def _check_collisions(self, t: float):
+    def _check_collisions(self, t: float, lead: np.ndarray | None = None):
+        """Raise CollisionError for the first overlapping pair of a lane.
+
+        `lead`, the step's leader map, still pairs every vehicle with the
+        one ahead of it when no row moved since it was built; then one
+        check over it clears the usual case, and only an overlap needs
+        the per-lane scan that names it.
+        """
         cols = self._stack.cols
         s = cols["s"]
+        if lead is not None and not np.any(
+            (s[lead] - s - self.cfg.idm.vehicle_length < 0.0) & (lead >= 0)
+        ):
+            return
         lanes = self.cfg.n_lanes
         for k, m in enumerate(lane_members(self._road_lanes(), 2 * lanes)):
             if m.size < 2:
@@ -556,10 +617,11 @@ class TrafficSim:
         s = self._stack.cols["s"]
         _, lead, _ = neighbor_maps(s, self._road_lanes(), 2 * self.cfg.n_lanes)
         self._advance(self._accel(lead, self._effective_headway()), dt)
-        self._stack.resort()
+        # a re-sorted block or a lane change can outdate `lead`
+        moved = self._stack.resort()
         if self.step_count % self._mobil_every == 0:
-            self._lane_pass()
-        self._check_collisions(t_new)
+            moved |= self._lane_pass()
+        self._check_collisions(t_new, None if moved else lead)
         for p in self.probes:
             p._observe(self.directions[p.direction], t_new)
         for hook in self.state_hooks:

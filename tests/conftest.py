@@ -13,7 +13,7 @@ INFLOW = 1200.0 / 3600.0
 LANDMARK_X = 10000.0
 
 # Session simulation fixtures in the order their tests run, cheapest first
-# (about 30 s, 6 min and 9.5 min on 2 cores).
+# (about 25 s, 6 min and 10.5 min on 2 cores).
 EXPENSIVE_FIXTURES = ("jam_result", "single_lane_sweep", "two_lane_cell")
 
 
