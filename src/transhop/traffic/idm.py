@@ -37,6 +37,10 @@ class IdmParams:
 def idm_acceleration(v, desired_v, gap, lead_v, p: IdmParams, time_headway=None):
     """Acceleration for vehicles with given speeds, gaps, and leader speeds.
 
+    The per-vehicle inputs are numpy arrays of one shape, or all floats
+    for one vehicle (not lists): floats skip every array conversion, and
+    their powers round as Python's own float `**` does.
+
     Args:
         v: own speeds (m/s).
         desired_v: desired speeds (m/s).
@@ -44,18 +48,17 @@ def idm_acceleration(v, desired_v, gap, lead_v, p: IdmParams, time_headway=None)
             lead_v == v for a free road, so the interaction term vanishes.
         lead_v: leader speeds (m/s).
         p: model parameters.
-        time_headway: optional per-vehicle headway override (scalar or
+        time_headway: optional per-vehicle headway override (float or
             array); defaults to p.time_headway.
 
     Returns:
         accelerations (m/s^2), unbounded below (emergency braking is the
         model's own response to short gaps, not a clipped special case).
     """
-    v = np.asarray(v, dtype=float)
     headway = p.time_headway if time_headway is None else time_headway
-    approach = v - np.asarray(lead_v, dtype=float)
+    approach = v - lead_v
     braking_scale = 2.0 * math.sqrt(p.max_accel * p.comfort_decel)
     desired_gap = p.min_gap + np.maximum(0.0, v * headway + v * approach / braking_scale)
-    free_term = (v / np.asarray(desired_v, dtype=float)) ** p.exponent
-    return p.max_accel * (1.0 - free_term - (desired_gap / np.asarray(gap, dtype=float)) ** 2)
+    free_term = (v / desired_v) ** p.exponent
+    return p.max_accel * (1.0 - free_term - (desired_gap / gap) ** 2)
 

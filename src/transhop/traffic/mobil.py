@@ -43,18 +43,20 @@ class MobilParams:
 
 def lane_members(lane: np.ndarray, n_lanes: int) -> list:
     """members[k]: ascending indices of the vehicles in lane k."""
-    # flatnonzero without its ravel wrapper: this runs several times a step
+    # flatnonzero without its ravel wrapper: this runs on every insertion
+    # and whenever a moved row outdates the road's split
     return [np.nonzero(lane == k)[0] for k in range(n_lanes)]
 
 
-def neighbor_maps(s: np.ndarray, lane: np.ndarray, n_lanes: int):
+def neighbor_maps(lane: np.ndarray, n_lanes: int):
     """Per-lane leader/follower indices for vehicles sorted by position
     within each lane.
 
     Returns (members, lead, fol): members is lane_members(); lead[i]/fol[i]
-    are same-lane neighbor indices or -1.
+    are same-lane neighbor indices or -1.  The maps depend only on the
+    row order and the lanes, not on the positions themselves.
     """
-    lead = np.full(s.size, -1, dtype=np.int64)
+    lead = np.full(lane.size, -1, dtype=np.int64)
     fol = lead.copy()
     members = lane_members(lane, n_lanes)
     for m in members:
@@ -62,11 +64,6 @@ def neighbor_maps(s: np.ndarray, lane: np.ndarray, n_lanes: int):
             lead[m[:-1]] = m[1:]
             fol[m[1:]] = m[:-1]
     return members, lead, fol
-
-
-def _gather(values: np.ndarray, idx: np.ndarray, fallback):
-    out = values[np.maximum(idx, 0)]
-    return np.where(idx >= 0, out, fallback)
 
 
 def propose_lane_changes(
@@ -99,6 +96,18 @@ def propose_lane_changes(
     """
     members, lead, fol = maps
     length = idm_p.vehicle_length
+    # every column padded with one fallback row, read by index -1 (no such
+    # vehicle)
+    s, v, v0, accel, headway = (
+        np.append(col, fallback)
+        for col, fallback in (
+            (s, 0.0), (v, 0.0), (v0, 1.0), (accel, 0.0), (headway, idm_p.time_headway)
+        )
+    )
+    # every lane's members padded with -1: a vehicle that would join a lane
+    # at position pos gets padded[pos] as leader and padded[pos - 1] as
+    # follower
+    padded = [np.append(m, -1) for m in members]
 
     # the target-lane neighbors of every (source lane, side) pair
     parts = []
@@ -108,19 +117,13 @@ def propose_lane_changes(
         for tgt_lane in (src_lane - 1, src_lane + 1):
             if tgt_lane // n_lanes != src_lane // n_lanes:
                 continue  # off the road, or a lane of the other block
-            tgt = members[tgt_lane]
-            if tgt.size:
-                pos = np.searchsorted(s[tgt], s[src], side="left")
-                nl = np.where(pos < tgt.size, tgt[np.minimum(pos, tgt.size - 1)], -1)
-                nf = np.where(pos > 0, tgt[np.maximum(pos - 1, 0)], -1)
-            else:
-                nl = np.full(src.size, -1, dtype=np.int64)
-                nf = np.full(src.size, -1, dtype=np.int64)
+            tgt = padded[tgt_lane]
+            pos = np.searchsorted(s[tgt[:-1]], s[src], side="left")
             if tgt_lane > src_lane:
                 side_threshold = p.threshold + p.keep_right_bias
             else:
                 side_threshold = p.threshold - p.keep_right_bias
-            parts.append((src, nl, nf, tgt_lane, side_threshold))
+            parts.append((src, tgt[pos], tgt[pos - 1], tgt_lane, side_threshold))
     if not parts:
         return (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, float))
     srcs, nls, nfs, tgt_lanes, thresholds = zip(*parts)
@@ -130,38 +133,26 @@ def propose_lane_changes(
     side_threshold = np.repeat(np.asarray(thresholds, dtype=float), sizes)
 
     # every candidate scored at once
-    gap_nl = _gather(s, nl, 0.0) - s[src] - length
-    gap_nl = np.where(nl >= 0, gap_nl, _FREE_GAP)
-    v_nl = _gather(v, nl, 0.0)
-    v_nl = np.where(nl >= 0, v_nl, v[src])
-    own_new = idm_acceleration(v[src], v0[src], gap_nl, v_nl, idm_p, headway[src])
+    s_src, v_src = s[src], v[src]
+    has_nl = nl >= 0
+    gap_nl = np.where(has_nl, s[nl] - s_src - length, _FREE_GAP)
+    v_nl = np.where(has_nl, v[nl], v_src)
+    own_new = idm_acceleration(v_src, v0[src], gap_nl, v_nl, idm_p, headway[src])
 
-    gap_nf = s[src] - _gather(s, nf, 0.0) - length
-    gap_nf = np.where(nf >= 0, gap_nf, _FREE_GAP)
+    gap_nf = np.where(nf >= 0, s_src - s[nf] - length, _FREE_GAP)
     nf_new = idm_acceleration(
-        _gather(v, nf, 0.0),
-        _gather(v0, nf, 1.0),
-        np.maximum(gap_nf, 1e-6),
-        v[src],
-        idm_p,
-        _gather(headway, nf, idm_p.time_headway),
+        v[nf], v0[nf], np.maximum(gap_nf, 1e-6), v_src, idm_p, headway[nf]
     )
     nf_new = np.where(nf >= 0, nf_new, 0.0)
-    nf_old = _gather(accel, nf, 0.0)
+    nf_old = accel[nf]
 
     of = fol[src]
     cl = lead[src]
-    of_old = _gather(accel, of, 0.0)
-    gap_of = _gather(s, cl, 0.0) - _gather(s, of, 0.0) - length
-    gap_of = np.where((of >= 0) & (cl >= 0), gap_of, _FREE_GAP)
-    v_cl = np.where(cl >= 0, _gather(v, cl, 0.0), _gather(v, of, 0.0))
+    of_old = accel[of]
+    gap_of = np.where((of >= 0) & (cl >= 0), s[cl] - s[of] - length, _FREE_GAP)
+    v_cl = np.where(cl >= 0, v[cl], v[of])
     of_new = idm_acceleration(
-        _gather(v, of, 0.0),
-        _gather(v0, of, 1.0),
-        np.maximum(gap_of, 1e-6),
-        v_cl,
-        idm_p,
-        _gather(headway, of, idm_p.time_headway),
+        v[of], v0[of], np.maximum(gap_of, 1e-6), v_cl, idm_p, headway[of]
     )
     of_new = np.where(of >= 0, of_new, 0.0)
 

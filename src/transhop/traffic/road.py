@@ -10,9 +10,11 @@ Both directions' vehicles live in one stacked struct-of-arrays, direction
 1's rows first, so each vectorized phase runs once per step for both.  Per
 step: accelerations, ballistic advance with stop clamping, re-sort by
 position (only where a block is out of order), lane changes on their own
-cadence, collision audit (from the step's leader map while no row moved),
-crossing probes and state hooks (these see aligned before/after
-positions), exit removal, then arrivals and insertion in place.  Inflow is
+cadence, collision audit from the leader map, crossing probes and state
+hooks (these see aligned before/after positions), exit removal, then
+arrivals and insertion in place.  The per-lane split of the rows, with its
+leader and follower maps, is kept until a row moves or changes lane, so a
+step that moves none reuses it.  Inflow is
 a thinned Poisson stream per lane, so time-varying demand keeps the
 per-direction random streams aligned: all draws for one direction come
 from its own generator, which makes each direction's evolution independent
@@ -37,7 +39,6 @@ from .mobil import (
 _FREE_GAP = 1.0e9
 _MIN_ENTRY_SPEED = 1.0
 _ENTRY_LEVELS = 30  # bisection levels of the entry-speed search
-_ENTRY_ROUND = 5  # levels resolved per IDM call; divides _ENTRY_LEVELS
 
 # the stacked per-vehicle columns, all aligned: name -> dtype
 _COLUMNS = (
@@ -61,38 +62,22 @@ def _entry_speed(v0, gap0, lead_speed, idm):
     matching the leader; rejecting too many candidates at the boundary
     would bunch the admitted ones into artificial convoys.
 
-    A 30-level bisection on [0, v0], resolved _ENTRY_ROUND levels per IDM
-    call: each call scores every midpoint those levels could visit, in
-    heap order (node i's children are 2i + 1 below its midpoint and
-    2i + 2 above it), and the walk then takes the path a one-midpoint
-    loop would take, with the same Python-float midpoints.  The first
-    call also scores v0 itself.  An acceleration scored in an array can
-    differ in its last bit from a one-value call (numpy rounds `**` on
-    arrays and on scalars differently), which changes the result only if
-    a midpoint's acceleration lies within that rounding of the limit.
+    v0 itself if it is admissible, else the lower end of a 30-level
+    bisection on [0, v0], one IDM call on floats per level.  IDM's
+    acceleration falls as the speed rises, so the result is within
+    v0 * 2**-30 below the admissible limit, or 0.0 if even standing still
+    brakes too hard.
     """
     gap0 = max(gap0, 1e-6)
+    if idm_acceleration(v0, v0, gap0, lead_speed, idm) >= -idm.comfort_decel:
+        return v0
     lo, hi = 0.0, v0
-    first = [v0]
-    for _ in range(_ENTRY_LEVELS // _ENTRY_ROUND):
-        spans = [(lo, hi)]
-        for k in range(2 ** (_ENTRY_ROUND - 1) - 1):
-            a, b = spans[k]
-            mid = 0.5 * (a + b)
-            spans += [(a, mid), (mid, b)]
-        mids = [0.5 * (a + b) for a, b in spans]
-        acc = idm_acceleration(np.asarray(first + mids), v0, gap0, lead_speed, idm)
-        ok = (acc >= -idm.comfort_decel).tolist()
-        if first:
-            if ok[0]:
-                return v0
-            first, ok = [], ok[1:]
-        i = 0
-        for _ in range(_ENTRY_ROUND):
-            if ok[i]:
-                lo, i = mids[i], 2 * i + 2
-            else:
-                hi, i = mids[i], 2 * i + 1
+    for _ in range(_ENTRY_LEVELS):
+        mid = 0.5 * (lo + hi)
+        if idm_acceleration(mid, v0, gap0, lead_speed, idm) >= -idm.comfort_decel:
+            lo = mid
+        else:
+            hi = mid
     return lo
 
 
@@ -238,12 +223,14 @@ class _Stack:
 
     Direction 1's rows come first, then direction 2's; rows
     bounds[k - 1]:bounds[k] are direction k's block, sorted by (s, vid)
-    between steps.
+    between steps.  split holds the rows' latest neighbor_maps() by road
+    lane, or None; whatever moves a row or changes a lane drops it.
     """
 
     def __init__(self):
         self.cols = {name: np.empty(0, dtype=dtype) for name, dtype in _COLUMNS}
         self.bounds = [0, 0, 0]
+        self.split = None
 
     @property
     def n(self) -> int:
@@ -254,10 +241,10 @@ class _Stack:
         for name, col in self.cols.items():
             self.cols[name] = col[rows]
         self.bounds = bounds
+        self.split = None
 
-    def resort(self) -> bool:
-        """Restore each block's (s, vid) order; return whether any block
-        needed sorting.
+    def resort(self):
+        """Restore each block's (s, vid) order.
 
         A block whose s strictly ascends is in order already.  A stable
         argsort by s orders any other block, unless its sorted s has an
@@ -276,10 +263,8 @@ class _Stack:
             if perm is None:
                 perm = np.arange(self.n)
             perm[lo:hi] = lo + order
-        if perm is None:
-            return False
-        self.take(perm, self.bounds)
-        return True
+        if perm is not None:
+            self.take(perm, self.bounds)
 
     def insert(self, direction: int, rows: dict):
         """Put rows (column name -> values) that share one s into a
@@ -297,6 +282,7 @@ class _Stack:
             self.cols[name] = np.concatenate((col[:at], rows_k, col[at:]))
         cnt = len(rows["s"])
         self.bounds = [b + cnt if k >= direction else b for k, b in enumerate(self.bounds)]
+        self.split = None
 
 
 class DirectionState:
@@ -502,6 +488,14 @@ class TrafficSim:
         lane[self._stack.bounds[1]:] += self.cfg.n_lanes
         return lane
 
+    def _lane_split(self):
+        """neighbor_maps() of the stacked rows by road lane, kept by the
+        stack until a row moves or changes lane."""
+        stack = self._stack
+        if stack.split is None:
+            stack.split = neighbor_maps(self._road_lanes(), 2 * self.cfg.n_lanes)
+        return stack.split
+
     def _effective_headway(self) -> np.ndarray:
         headway = np.full(self._stack.n, self.cfg.idm.time_headway)
         for d in self.directions.values():
@@ -513,7 +507,7 @@ class TrafficSim:
         return headway
 
     def _accel(self, lead: np.ndarray, headway: np.ndarray) -> np.ndarray:
-        """IDM accelerations from neighbor_maps()'s leaders and _effective_headway()."""
+        """IDM accelerations from _lane_split()'s leaders and _effective_headway()."""
         cols = self._stack.cols
         s, v = cols["s"], cols["v"]
         gap = s[lead] - s - self.cfg.idm.vehicle_length
@@ -527,38 +521,32 @@ class TrafficSim:
         cols = self._stack.cols
         v_before = cols["v"]
         v_after = v_before + acc * dt
-        stopping = v_after < 0.0
-        travel = np.where(
-            stopping,
-            v_before * v_before / (2.0 * np.maximum(-acc, 1e-12)),
-            0.5 * (v_before + np.maximum(v_after, 0.0)) * dt,
-        )
+        stop = np.flatnonzero(v_after < 0.0)  # would reverse within the step
+        v_after = np.maximum(v_after, 0.0)
+        travel = 0.5 * (v_before + v_after) * dt
+        v_stop = v_before[stop]
+        travel[stop] = v_stop * v_stop / (2.0 * np.maximum(-acc[stop], 1e-12))
         cols["prev_s"] = cols["s"]
         cols["s"] = cols["s"] + np.maximum(travel, 0.0)
-        cols["v"] = np.maximum(v_after, 0.0)
+        cols["v"] = v_after
 
-    def _lane_pass(self) -> bool:
-        """Apply the MOBIL lane changes; return whether any vehicle changed
-        lane."""
+    def _lane_pass(self):
+        """Apply the MOBIL lane changes."""
         lanes = self.cfg.n_lanes
         if lanes < 2:
-            return False
+            return
         cols = self._stack.cols
         s, v, v0, lane = cols["s"], cols["v"], cols["v0"], cols["lane"]
-        road_lanes = self._road_lanes()
-        maps = neighbor_maps(s, road_lanes, 2 * lanes)
+        maps = self._lane_split()
         headway = self._effective_headway()
         acc = self._accel(maps[1], headway)
         idx, target, incentive = propose_lane_changes(
             s, v, v0, acc, headway, maps, lanes, self.cfg.idm, self.cfg.mobil,
         )
-        if idx.size == 0:
-            return False
+        road_lanes = self._road_lanes()
         # each direction's changes in its own order; a revalidation reads
         # only its own direction's target lane, so interleaving them is safe
-        order = np.argsort(-incentive, kind="stable")
-        changed = False
-        for j in order:
+        for j in np.argsort(-incentive, kind="stable"):
             i = int(idx[j])
             tgt = int(target[j])
             if revalidate_change(
@@ -567,25 +555,22 @@ class TrafficSim:
                 road_lanes[i] = tgt
                 lane[i] = tgt % lanes
                 self.directions[tgt // lanes + 1].lane_changes += 1
-                changed = True
-        return changed
+                self._stack.split = None
 
-    def _check_collisions(self, t: float, lead: np.ndarray | None = None):
+    def _check_collisions(self, t: float):
         """Raise CollisionError for the first overlapping pair of a lane.
 
-        `lead`, the step's leader map, still pairs every vehicle with the
-        one ahead of it when no row moved since it was built; then one
-        check over it clears the usual case, and only an overlap needs
-        the per-lane scan that names it.
+        The split's leader map pairs every vehicle with the one ahead of
+        it in its lane, so one check over it clears the usual case; only
+        an overlap needs the per-lane scan that names it.
         """
         cols = self._stack.cols
         s = cols["s"]
-        if lead is not None and not np.any(
-            (s[lead] - s - self.cfg.idm.vehicle_length < 0.0) & (lead >= 0)
-        ):
+        members, lead, _ = self._lane_split()
+        if not np.any((s[lead] - s - self.cfg.idm.vehicle_length < 0.0) & (lead >= 0)):
             return
         lanes = self.cfg.n_lanes
-        for k, m in enumerate(lane_members(self._road_lanes(), 2 * lanes)):
+        for k, m in enumerate(members):
             if m.size < 2:
                 continue
             sm = s[m]
@@ -614,14 +599,11 @@ class TrafficSim:
     def step(self):
         dt = self.cfg.dt
         t_new = self.t + dt
-        s = self._stack.cols["s"]
-        _, lead, _ = neighbor_maps(s, self._road_lanes(), 2 * self.cfg.n_lanes)
-        self._advance(self._accel(lead, self._effective_headway()), dt)
-        # a re-sorted block or a lane change can outdate `lead`
-        moved = self._stack.resort()
+        self._advance(self._accel(self._lane_split()[1], self._effective_headway()), dt)
+        self._stack.resort()
         if self.step_count % self._mobil_every == 0:
-            moved |= self._lane_pass()
-        self._check_collisions(t_new, None if moved else lead)
+            self._lane_pass()
+        self._check_collisions(t_new)
         for p in self.probes:
             p._observe(self.directions[p.direction], t_new)
         for hook in self.state_hooks:

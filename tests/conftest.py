@@ -13,7 +13,7 @@ INFLOW = 1200.0 / 3600.0
 LANDMARK_X = 10000.0
 
 # Session simulation fixtures in the order their tests run, cheapest first
-# (about 25 s, 6 min and 10.5 min on 2 cores).
+# (set-up about 20 s, 4.5 min and 6.5 min on 2 cores, by `pytest --durations=5`).
 EXPENSIVE_FIXTURES = ("jam_result", "single_lane_sweep", "two_lane_cell")
 
 

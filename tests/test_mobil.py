@@ -5,7 +5,6 @@ from transhop.traffic.idm import IdmParams, idm_acceleration
 from transhop.traffic.mobil import (
     _FREE_GAP,
     MobilParams,
-    _gather,
     neighbor_maps,
     propose_lane_changes,
 )
@@ -23,9 +22,14 @@ def reference_propose_lane_changes(
     p: MobilParams,
 ):
     """The per-candidate dict loop the vectorized side pick replaced."""
+
+    def _gather(values, idx, fallback):
+        out = values[np.maximum(idx, 0)]
+        return np.where(idx >= 0, out, fallback)
+
     if n_lanes < 2:
         return (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, float))
-    members, lead, fol = neighbor_maps(s, lane, n_lanes)
+    members, lead, fol = neighbor_maps(lane, n_lanes)
     length = idm_p.vehicle_length
 
     best_inc = {}
@@ -127,7 +131,7 @@ def random_state(n_lanes, seed, n=300):
 
 def assert_same_as_reference(s, v, v0, lane, accel, headway, n_lanes, p):
     want = reference_propose_lane_changes(s, v, v0, lane, accel, headway, n_lanes, IDM, p)
-    maps = neighbor_maps(s, lane, n_lanes)
+    maps = neighbor_maps(lane, n_lanes)
     got = propose_lane_changes(s, v, v0, accel, headway, maps, n_lanes, IDM, p)
     for w, g in zip(want, got):
         assert g.dtype == w.dtype
@@ -143,7 +147,7 @@ def assert_blocks_match_reference(states, n_lanes, p):
     sizes = [state[0].size for state in states]
     block = np.repeat(np.arange(len(states)), sizes)
     s, v, v0, lane, accel, headway = (np.concatenate(col) for col in zip(*states))
-    maps = neighbor_maps(s, lane + n_lanes * block, n_lanes * len(states))
+    maps = neighbor_maps(lane + n_lanes * block, n_lanes * len(states))
     got = propose_lane_changes(s, v, v0, accel, headway, maps, n_lanes, IDM, p)
     assert np.array_equal(got[1] // n_lanes, block[got[0]])  # no target leaves its block
     first_row = 0

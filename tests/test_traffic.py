@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from transhop.config import load_config, validation_cells
 from transhop.traffic.idm import IdmParams, idm_acceleration
+from transhop.traffic.mobil import neighbor_maps
 from transhop.traffic.road import (
     _COLUMNS,
     BottleneckSpec,
@@ -140,6 +144,68 @@ class TestLaneChanging:
         assert d.lane_changes == 0
         assert np.all(d.lane == 0)
 
+    def test_changer_can_stop_dead_in_front_of_its_new_follower(self):
+        """Pins a known defect: the re-check of a lane change tests the new
+        follower's braking but not the changer's own braking toward its new
+        leader.  On this 3-lane road vehicle 1158 cuts in 3.5 m behind a
+        leader at t=690 s, stops within one step, and 1052 runs into it.
+        A fix of the re-check changes this outcome and replaces this test."""
+        cfg = load_config(None)
+        cfg["validate"]["cells"] = [{"lanes": 3, "penetration": 0.1}]
+        sim = TrafficSim(validation_cells(cfg, 31)[0].road, 1031)
+        with pytest.raises(CollisionError) as err:
+            sim.run(700.0)
+        assert str(err.value) == (
+            "t=690.50s direction 1 lane 1: vehicles 1052 and 1158 overlap (gap -1.177 m)"
+        )
+
+
+def assert_split_is_fresh(sim) -> bool:
+    """Check the sim's kept lane split, if it keeps one, against a split
+    built now; return whether it kept one."""
+    split = sim._stack.split
+    if split is None:
+        return False
+    members, lead, fol = neighbor_maps(sim._road_lanes(), 2 * sim.cfg.n_lanes)
+    assert len(split[0]) == len(members)
+    for got, want in zip(split[0], members):
+        assert np.array_equal(got, want)
+    assert np.array_equal(split[1], lead)
+    assert np.array_equal(split[2], fol)
+    return True
+
+
+class TestLaneSplit:
+    @pytest.mark.parametrize("n_lanes", [1, 2, 3])
+    def test_kept_split_is_fresh_after_every_step(self, n_lanes):
+        sim = TrafficSim(RoadConfig(length=3000.0, n_lanes=n_lanes), seed=5)
+        steps = 1200
+        kept = 0
+        for _ in range(steps):
+            sim.step()
+            kept += assert_split_is_fresh(sim)
+        for d in sim.directions.values():
+            assert d.inserted > 0 and d.exited > 0
+            assert (d.lane_changes > 0) == (n_lanes > 1)
+        assert kept > steps // 4
+
+    def test_adding_rows_drops_the_split(self):
+        sim = quiet_sim(n_lanes=2)
+        for k, x, lane in ((1, 500.0, 0), (2, 700.0, 1), (1, 300.0, 1), (2, 900.0, 1)):
+            sim._lane_split()
+            sim.state(k).seed_vehicle(x=x, lane=lane, speed=20.0, desired_speed=30.0)
+            sim._lane_split()
+            assert assert_split_is_fresh(sim)
+        sim._lane_split()
+        sim._stack.insert(1, {
+            "s": np.zeros(2), "prev_s": np.zeros(2), "v": [9.0, 9.0], "v0": [30.0, 30.0],
+            "lane": [0, 1], "vid": [100, 102], "equipped": [False, False],
+            "ema_speed": [9.0, 9.0], "congested": [False, False],
+        })
+        sim._lane_split()
+        assert assert_split_is_fresh(sim)
+        assert [m.size for m in sim._stack.split[0]] == [2, 2, 0, 2]
+
 
 class TestProbesAndDetectors:
     def test_probe_position_validation(self):
@@ -273,8 +339,9 @@ class TestPlatooning:
 
 
 def scalar_entry_speed(v0, gap0, lead_speed, idm):
-    """The entry-speed bisection one midpoint per IDM call: the reference
-    the batched search in the engine must reproduce exactly."""
+    """The entry-speed bisection one midpoint per IDM call, as the engine's
+    search must reproduce it exactly; the engine's search is this loop
+    today, so test_brackets_the_braking_limit checks it independently."""
     gap0 = max(gap0, 1e-6)
     if idm_acceleration(v0, v0, gap0, lead_speed, idm) >= -idm.comfort_decel:
         return v0
@@ -297,6 +364,16 @@ class TestEntrySpeed:
         assert got == scalar_entry_speed(v0, gap0, lead_speed, self.IDM), (v0, gap0, lead_speed)
         return got
 
+    @staticmethod
+    def random_inputs():
+        """10^4 (v0, gap0, lead_speed) triples over and beyond the road's range."""
+        rng = np.random.default_rng(20261019)
+        n = 10_000
+        v0 = rng.uniform(50.0 / 3.6, 180.0 / 3.6, n)
+        gap0 = rng.uniform(-2.0, 150.0, n)
+        lead_speed = rng.uniform(0.0, 50.0, n)
+        return list(zip(v0.tolist(), gap0.tolist(), lead_speed.tolist()))
+
     def test_edge_cases(self):
         min_gap = self.IDM.min_gap
         # room enough: the desired speed itself, returned as given
@@ -309,15 +386,59 @@ class TestEntrySpeed:
             self.check(30.0, gap0, 20.0)
 
     def test_equals_scalar_bisection(self):
-        rng = np.random.default_rng(20261019)
-        n = 10_000
-        v0 = rng.uniform(50.0 / 3.6, 180.0 / 3.6, n)
-        gap0 = rng.uniform(-2.0, 150.0, n)
-        lead_speed = rng.uniform(0.0, 50.0, n)
-        admissible = 0
-        for args in zip(v0.tolist(), gap0.tolist(), lead_speed.tolist()):
-            admissible += self.check(*args) == args[0]
-        assert 0 < admissible < n  # both the early return and the search ran
+        inputs = self.random_inputs()
+        admissible = sum(self.check(*args) == args[0] for args in inputs)
+        assert 0 < admissible < len(inputs)  # both the early return and the search ran
+
+    def test_brackets_the_braking_limit(self):
+        """Each result is v0 if v0 is admissible, 0.0 if standing still is
+        not, and otherwise the admissible end of an interval v0 * 2**-30
+        wide whose other end brakes too hard, holding brentq's root of the
+        braking limit."""
+        limit = -self.IDM.comfort_decel
+        searched = 0
+        for v0, gap0, lead_speed in self.random_inputs():
+            got = _entry_speed(v0, gap0, lead_speed, self.IDM)
+
+            def acc(v):
+                return idm_acceleration(v, v0, max(gap0, 1e-6), lead_speed, self.IDM)
+
+            if acc(v0) >= limit:
+                assert got == v0
+            elif acc(0.0) < limit:
+                assert got == 0.0
+            else:
+                width = v0 * 2.0**-30
+                assert acc(got) >= limit > acc(got + width), (v0, gap0, lead_speed)
+                root = brentq(lambda v: acc(v) - limit, 0.0, v0, xtol=1e-13)
+                # brentq's own tolerance on top of the bracket's width
+                assert abs(got - root) <= width + 1e-12, (v0, gap0, lead_speed)
+                searched += 1
+        assert searched > 1000
+
+
+def float_idm(v, v0, gap, lead_v, p, headway):
+    """IDM acceleration in plain Python float arithmetic."""
+    braking_scale = 2.0 * math.sqrt(p.max_accel * p.comfort_decel)
+    desired_gap = p.min_gap + max(0.0, v * headway + v * (v - lead_v) / braking_scale)
+    return p.max_accel * (1.0 - (v / v0) ** p.exponent - (desired_gap / gap) ** 2)
+
+
+def test_idm_on_floats_is_the_float_formula():
+    p = IdmParams()
+    rng = np.random.default_rng(404)
+    n = 20_000
+    v = rng.uniform(0.0, 50.0, n)
+    v[:100] = 0.0
+    v0 = rng.uniform(50.0 / 3.6, 180.0 / 3.6, n)
+    gap = np.exp(rng.uniform(np.log(1e-6), np.log(1e9), n))
+    lead_v = rng.uniform(0.0, 50.0, n)
+    headway = np.where(rng.random(n) < 0.5, p.time_headway, rng.uniform(1.2, 4.0, n))
+    for args in zip(v.tolist(), v0.tolist(), gap.tolist(), lead_v.tolist(), headway.tolist()):
+        got = float(idm_acceleration(*args[:4], p, args[4]))
+        assert got.hex() == float_idm(*args[:4], p, args[4]).hex(), args
+        if args[4] == p.time_headway:
+            assert float(idm_acceleration(*args[:4], p)).hex() == got.hex()
 
 
 def make_stack(block1, block2):
@@ -344,10 +465,13 @@ def lexsort_reference(stack):
 
 class TestStackOrder:
     def assert_resorts_like_lexsort(self, stack):
+        """Return whether the re-sort dropped the stack's lane split."""
         perm = lexsort_reference(stack)
         before = {name: col.copy() for name, col in stack.cols.items()}
         bounds = list(stack.bounds)
-        moved = stack.resort()
+        stack.split = split = object()
+        stack.resort()
+        moved = stack.split is not split
         # a block out of strict ascent counts as moved even if its ties
         # were in vid order already
         assert moved or np.array_equal(perm, np.arange(perm.size))
