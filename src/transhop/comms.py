@@ -6,10 +6,10 @@ travel upstream inside the relay, and are delivered to the first equipped
 direction-1 vehicle found in the destination region: positions at least
 r_min behind the message's own source position.
 
-The engine runs synchronously after each traffic step.  Events that need
-the before/after position alignment (landmark crossings, front detection)
-are gathered during the step via probes and state hooks; hop geometry is
-evaluated on the settled end-of-step state.  Hops are range-inclusive:
+The engine runs synchronously after each traffic step.  Landmark crossings
+are gathered during the step by a probe, and a state hook creates a front
+message where it detects the front; hop geometry is evaluated on the
+settled end-of-step state.  Hops are range-inclusive:
 a hop happens in a step iff the longitudinal separation is <= r.
 """
 
@@ -118,7 +118,7 @@ class Transmission:
     sets receiver_vid and delivery_position.
     """
 
-    __slots__ = ("msg", "relay_vid", "pickup_time", "tau1", "tau2", "tau3", "dead",
+    __slots__ = ("msg", "relay_vid", "pickup_time", "tau1", "tau2", "tau3",
                  "receiver_vid", "delivery_position", "delivered_to")
 
     def __init__(self, msg: Message):
@@ -128,7 +128,6 @@ class Transmission:
         self.tau1 = math.nan
         self.tau2 = math.nan
         self.tau3 = math.nan
-        self.dead = False
         self.receiver_vid: int | None = None
         self.delivery_position = math.nan
         self.delivered_to = set()
@@ -142,18 +141,10 @@ class Transmission:
         return not math.isnan(self.tau3)
 
 
-class _VidIndex:
-    """Sorted-vid lookup into one direction's arrays, built per step."""
-
-    def __init__(self, state):
-        self.order = np.argsort(state.vid)
-        self.sorted_vids = state.vid[self.order]
-
-    def find(self, vid: int) -> int:
-        j = int(np.searchsorted(self.sorted_vids, vid))
-        if j < self.sorted_vids.size and self.sorted_vids[j] == vid:
-            return int(self.order[j])
-        return -1
+def _row(vids: np.ndarray, vid: int) -> int:
+    """Row of vehicle `vid` in one direction's vid column, or -1 once it has left."""
+    rows = np.flatnonzero(vids == vid)
+    return int(rows[0]) if rows.size else -1
 
 
 class CommsEngine:
@@ -183,7 +174,6 @@ class CommsEngine:
         self._active: dict[int, Transmission] = {}
         self._next_id = 0
         self._last_t = sim.t
-        self._pending_fronts: list[tuple] = []
         self.landmark_probe: CrossingProbe | None = None
         if cfg.landmark_x is not None:
             self.landmark_probe = sim.add_probe(cfg.landmark_x, direction=1)
@@ -221,13 +211,17 @@ class CommsEngine:
         for kind, idx in ((KIND_UPSTREAM, up), (KIND_DOWNSTREAM, down)):
             for i in idx:
                 if state.equipped[i]:
-                    self._pending_fronts.append(
-                        (kind, int(state.vid[i]), float(xs[i]), t)
-                    )
+                    x = float(xs[i])
+                    self._new_message(kind, int(state.vid[i]), x, t, front_position=x, front_time=t)
 
     # -- per-step processing -------------------------------------------
 
     def after_step(self, sim: TrafficSim):
+        """Hop and deliver every active message on the settled state.
+
+        A message retires in the step it ends: its source leaves before a
+        hop, its relay leaves, or it is delivered without jam_detection.
+        """
         t_now = sim.t
         t_prev = self._last_t
         self._last_t = t_now
@@ -236,68 +230,54 @@ class CommsEngine:
             for t, vid, _lane, _v, equipped in self.landmark_probe.drain():
                 if equipped and self.generation_enabled:
                     self._new_message(KIND_LANDMARK, vid, self.landmark_probe.x, t)
-        for kind, vid, x, t in self._pending_fronts:
-            self._new_message(kind, vid, x, t, front_position=x, front_time=t)
-        self._pending_fronts.clear()
 
         if not self._active:
             return
         d1 = sim.state(1)
         d2 = sim.state(2)
-        idx1 = _VidIndex(d1)
-        idx2 = _VidIndex(d2)
-        x1 = d1.x
-        x2 = d2.x
-
-        e1 = np.flatnonzero(d1.equipped)
-        xe1 = x1[e1]
-        ve1 = d1.vid[e1]
-        e2 = np.flatnonzero(d2.equipped)
-        xe2 = x2[e2][::-1]
-        ve2 = d2.vid[e2][::-1]
+        vid1, x1, eq1 = d1.vid, d1.x, d1.equipped
+        vid2, x2, eq2 = d2.vid, d2.x, d2.equipped
+        xe1 = x1[eq1]
+        ve1 = vid1[eq1]
+        xe2 = x2[eq2][::-1]
+        ve2 = vid2[eq2][::-1]
 
         r = self.cfg.broadcast_range
         interval = self.cfg.broadcast_interval
-        all_deliveries = self.cfg.jam_detection
-        finished = []
-        for mid, tx in self._active.items():
+        for mid, tx in list(self._active.items()):
             msg = tx.msg
 
             # stage 1: the source broadcasts until the nearest relay takes it;
             # the message is lost if its source leaves the road first
             if tx.relay_vid is None:
-                si = idx1.find(msg.source_vid)
+                si = _row(vid1, msg.source_vid)
                 if si < 0:
                     self.dead_source_exit += 1
-                    finished.append(mid)
+                    del self._active[mid]
                     continue
-                if _slot_in(msg.creation_time, t_prev, t_now, interval):
-                    xs = float(x1[si])
-                    lo = int(np.searchsorted(xe2, xs - r, side="left"))
-                    hi = int(np.searchsorted(xe2, xs + r, side="right"))
-                    if hi > lo:
-                        j = min(range(lo, hi), key=lambda j: abs(float(xe2[j]) - xs))
-                        tx.relay_vid = int(ve2[j])
-                        tx.pickup_time = t_now
-                        tx.tau1 = t_now - msg.creation_time
-                        self.tau1_samples.append(tx.tau1)
+                if not _slot_in(msg.creation_time, t_prev, t_now, interval):
+                    continue
+                xs = float(x1[si])
+                lo = int(np.searchsorted(xe2, xs - r, side="left"))
+                hi = int(np.searchsorted(xe2, xs + r, side="right"))
+                if hi == lo:
+                    continue
+                j = min(range(lo, hi), key=lambda j: abs(float(xe2[j]) - xs))
+                tx.relay_vid = int(ve2[j])
+                tx.pickup_time = t_now
+                tx.tau1 = t_now - msg.creation_time
+                self.tau1_samples.append(tx.tau1)
 
             # stages 2 and 3: the relay carries it upstream and delivers
-            relayed = tx.relay_vid is not None
-            if relayed and not tx.dead and (all_deliveries or not tx.delivered):
-                ri = idx2.find(tx.relay_vid)
-                if ri < 0:
-                    tx.dead = True
-                    if not tx.delivered:
-                        self.dead_relay_exit += 1
-                else:
-                    self._relay_step(tx, float(x2[ri]), t_prev, t_now, xe1, ve1)
-
-            # retire the message once nothing more can happen to it
-            if tx.dead or (tx.delivered and not all_deliveries):
-                finished.append(mid)
-        for mid in finished:
-            del self._active[mid]
+            ri = _row(vid2, tx.relay_vid)
+            if ri < 0:
+                if not tx.delivered:
+                    self.dead_relay_exit += 1
+                del self._active[mid]
+                continue
+            self._relay_step(tx, float(x2[ri]), t_prev, t_now, xe1, ve1)
+            if tx.delivered and not self.cfg.jam_detection:
+                del self._active[mid]
 
     def _relay_step(self, tx, xr, t_prev, t_now, xe1, ve1):
         """Availability and delivery for a relay now at xr.

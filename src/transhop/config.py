@@ -322,14 +322,14 @@ def jam_scenario(cfg: dict, seed: int) -> JamConfig:
         raise ConfigError("jam.demand_profile_veh_h must be [time_s, veh_h] pairs")
     points = tuple((float(t), float(q) / 3600.0) for t, q in profile)
     b = j["bottleneck"]
-    direction = int(b["direction"])
-    if direction not in (1, 2):
-        raise ConfigError("jam.bottleneck.direction must be 1 or 2")
+    # front detection, the speed field and its window read direction 1 only
+    if int(b["direction"]) != 1:
+        raise ConfigError("jam.bottleneck.direction must be 1")
     base_rate = _positive(
         cfg["traffic"]["inflow_per_lane_veh_h"], "traffic.inflow_per_lane_veh_h"
     ) / 3600.0
     bneck = BottleneckSpec(
-        direction=direction,
+        direction=1,
         s_start=_positive(b["position_m"], "jam.bottleneck.position_m"),
         width=_positive(b["width_m"], "jam.bottleneck.width_m"),
         extra_headway=float(b["extra_headway_s"]),

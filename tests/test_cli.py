@@ -199,6 +199,8 @@ class TestExitCodes:
         assert run(tmp_path, "analytic", config="analytic:\n  penetrations: [2.0]\n") == 2
         assert run(tmp_path, "analytic", config="comms:\n  broadcast_range_m: 0\n") == 2
         assert run(tmp_path, "oracle", config="oracle:\n  samples: 0\n") == 2
+        # the jam analysis reads direction 1 only
+        assert run(tmp_path, "jam", config="jam:\n  bottleneck:\n    direction: 2\n") == 2
         assert main(["analytic", "--config", str(tmp_path / "missing.yaml")]) == 2
 
     def test_collision_maps_to_exit_3(self, tmp_path, monkeypatch):

@@ -158,14 +158,14 @@ class TestHopSelection:
 
 
 class TestReceiverSelection:
-    def geometry(self, **comm_kw):
+    def geometry(self, duration=70.0, **comm_kw):
         sim, engine = scene(n_lanes=2, **comm_kw)
         src = put(sim, 1, 5000.0)
         put(sim, 2, 5230.0)
         ahead = put(sim, 1, 2000.0, lane=0)
         behind = put(sim, 1, 1995.0, lane=1)
         engine._new_message(KIND_LANDMARK, src, 5000.0, 0.0)
-        drive(sim, engine, 70.0)
+        drive(sim, engine, duration)
         return engine, ahead, behind
 
     def test_downstream_receiver_preferred(self):
@@ -180,6 +180,15 @@ class TestReceiverSelection:
         got = {d.receiver_vid for d in engine.deliveries}
         assert got == {ahead, behind}
         assert engine.records[0].receiver_vid == ahead  # record keeps the first
+
+    def test_jam_detection_message_retires_when_its_relay_leaves(self):
+        """A delivered message stays with its relay for later receivers and
+        retires when the relay leaves the road (x=0 at ~209 s), not as lost."""
+        engine, ahead, behind = self.geometry(duration=215.0, jam_detection=True)
+        assert {d.receiver_vid for d in engine.deliveries} == {ahead, behind}
+        assert engine.created == engine.delivered == 1
+        assert engine.dead_relay_exit == 0
+        assert engine.active_count == 0
 
 
 class TestPeriodicBroadcast:

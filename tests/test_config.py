@@ -190,6 +190,7 @@ class TestJamScenario:
     def test_validation(self, tmp_path):
         for body, msg in (
             ("jam:\n  penetration: 1.5\n", r"\[0, 1\]"),
+            ("jam:\n  bottleneck:\n    direction: 2\n", "direction"),
             ("jam:\n  bottleneck:\n    direction: 3\n", "direction"),
             ("jam:\n  demand_profile_veh_h: [[0, 1200], [600]]\n", "pairs"),
             ("jam:\n  demand_profile_veh_h: []\n", "pairs"),
