@@ -47,6 +47,8 @@ class CellConfig:
     def __post_init__(self):
         if self.comm.landmark_x is None:
             raise ValueError("validation cells need a landmark position")
+        if not 0.0 < self.comm.landmark_x < self.road.length:
+            raise ValueError("comms.landmark_x_m must lie strictly inside the road")
         if self.messages < 1:
             raise ValueError("need at least one message")
 

@@ -41,24 +41,20 @@ class MobilParams:
             raise ValueError("keep_right_bias must be >= 0")
 
 
-def lane_members(lane: np.ndarray, n_lanes: int) -> list:
-    """members[k]: ascending indices of the vehicles in lane k."""
-    # flatnonzero without its ravel wrapper: this runs on every insertion
-    # and whenever a moved row outdates the road's split
-    return [np.nonzero(lane == k)[0] for k in range(n_lanes)]
-
-
 def neighbor_maps(lane: np.ndarray, n_lanes: int):
     """Per-lane leader/follower indices for vehicles sorted by position
     within each lane.
 
-    Returns (members, lead, fol): members is lane_members(); lead[i]/fol[i]
-    are same-lane neighbor indices or -1.  The maps depend only on the
-    row order and the lanes, not on the positions themselves.
+    Returns (members, lead, fol): members[k] holds the ascending indices of
+    the vehicles in lane k; lead[i]/fol[i] are same-lane neighbor indices
+    or -1.  The maps depend only on the row order and the lanes, not on the
+    positions themselves.
     """
     lead = np.full(lane.size, -1, dtype=np.int64)
     fol = lead.copy()
-    members = lane_members(lane, n_lanes)
+    # flatnonzero without its ravel wrapper: this runs whenever a moved row
+    # outdates the road's split
+    members = [np.nonzero(lane == k)[0] for k in range(n_lanes)]
     for m in members:
         if m.size >= 2:
             lead[m[:-1]] = m[1:]

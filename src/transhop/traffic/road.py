@@ -28,13 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .idm import IdmParams, idm_acceleration
-from .mobil import (
-    MobilParams,
-    lane_members,
-    neighbor_maps,
-    propose_lane_changes,
-    revalidate_change,
-)
+from .mobil import MobilParams, neighbor_maps, propose_lane_changes, revalidate_change
 
 _FREE_GAP = 1.0e9
 _MIN_ENTRY_SPEED = 1.0
@@ -149,6 +143,8 @@ class RoadConfig:
             raise ValueError("equipped_fraction must lie in [0, 1]")
         if self.desired_speed_floor <= 0.0 or self.desired_speed_mean <= 0.0:
             raise ValueError("desired speeds must be positive")
+        if any(b.s_start + b.width > self.length for b in self.bottlenecks):
+            raise ValueError("a bottleneck must end within the road")
 
 
 @dataclass(frozen=True)
@@ -223,18 +219,33 @@ class _Stack:
 
     Direction 1's rows come first, then direction 2's; rows
     bounds[k - 1]:bounds[k] are direction k's block, sorted by (s, vid)
-    between steps.  split holds the rows' latest neighbor_maps() by road
-    lane, or None; whatever moves a row or changes a lane drops it.
+    between steps.  A row's road lane is (direction - 1) * n_lanes + lane,
+    so a lane of one direction is never next to a lane of the other.
+    split holds the rows' latest neighbor_maps() by road lane, or None;
+    whatever moves a row or changes a lane drops it.
     """
 
-    def __init__(self):
+    def __init__(self, n_lanes: int):
         self.cols = {name: np.empty(0, dtype=dtype) for name, dtype in _COLUMNS}
         self.bounds = [0, 0, 0]
+        self.n_lanes = n_lanes
         self.split = None
 
     @property
     def n(self) -> int:
         return self.bounds[2]
+
+    def road_lanes(self) -> np.ndarray:
+        lane = self.cols["lane"].copy()
+        lane[self.bounds[1]:] += self.n_lanes
+        return lane
+
+    def lane_split(self):
+        """neighbor_maps() of the rows by road lane, kept until a row moves
+        or changes lane."""
+        if self.split is None:
+            self.split = neighbor_maps(self.road_lanes(), 2 * self.n_lanes)
+        return self.split
 
     def take(self, rows: np.ndarray, bounds: list):
         """Keep the given rows, in that order, as blocks ending at bounds."""
@@ -286,21 +297,20 @@ class _Stack:
 
 
 class DirectionState:
-    """One driving direction: its random stream, inflow, pending arrivals,
-    bottlenecks and counters, and its block of the stacked vehicle columns.
+    """One driving direction: its random stream, inflow, pending arrivals
+    and counters, and its block of the stacked vehicle columns.
 
     Each column in _COLUMNS reads and writes a view of this direction's
     rows, which stay sorted by (s, vid) between steps.  prev_s holds each
     vehicle's position before the latest advance, aligned with the current
-    rows, so probes can detect crossings after sorting.  A state built on
-    its own keeps its rows in a stack of its own.
+    rows, so probes can detect crossings after sorting.
     """
 
-    def __init__(self, direction: int, cfg: RoadConfig, seed: int, stack: _Stack | None = None):
+    def __init__(self, direction: int, cfg: RoadConfig, seed: int, stack: _Stack):
         self.direction = direction
         self.cfg = cfg
         self.rng = np.random.default_rng([seed, direction])
-        self._stack = _Stack() if stack is None else stack
+        self._stack = stack
         self._vid_counter = 0
         self._pending = deque()
         profile = cfg.inflow1 if direction == 1 else cfg.inflow2
@@ -311,7 +321,6 @@ class DirectionState:
         self.arrivals = 0
         self.blocked_steps = 0
         self.lane_changes = 0
-        self._bottlenecks = [b for b in cfg.bottlenecks if b.direction == direction]
 
     @property
     def _rows(self) -> slice:
@@ -371,8 +380,12 @@ class DirectionState:
             return
         inserted_rows = []
         open_lanes = {}
-        s, v = self.s, self.v
-        for k, m in enumerate(lane_members(self.lane, self.cfg.n_lanes)):
+        stack = self._stack
+        s, v = stack.cols["s"], stack.cols["v"]
+        members = stack.lane_split()[0]
+        first = (self.direction - 1) * self.cfg.n_lanes
+        for k in range(self.cfg.n_lanes):
+            m = members[first + k]
             if m.size:
                 tail = int(m[0])
                 open_lanes[k] = (
@@ -453,18 +466,16 @@ class TrafficSim:
     and per-step state hooks.
 
     Every vectorized phase runs once per step over the rows of both
-    directions.  Per-lane splits are keyed by the road lane,
-    (direction - 1) * n_lanes + lane, so a lane of one direction is never
-    next to a lane of the other.  State hooks run after motion and lane
-    changes but before exit removal and insertion, so prev_s/s are aligned
-    for every vehicle the hook sees.
+    directions and reads the stack's lane split.  State hooks run after
+    motion and lane changes but before exit removal and insertion, so
+    prev_s/s are aligned for every vehicle the hook sees.
     """
 
     def __init__(self, cfg: RoadConfig, seed: int):
         self.cfg = cfg
         self.t = 0.0
         self.step_count = 0
-        self._stack = _Stack()
+        self._stack = _Stack(cfg.n_lanes)
         self.directions = {k: DirectionState(k, cfg, seed, self._stack) for k in (1, 2)}
         self.probes = []
         self.state_hooks = []
@@ -483,31 +494,18 @@ class TrafficSim:
 
     # -- dynamics ------------------------------------------------------
 
-    def _road_lanes(self) -> np.ndarray:
-        lane = self._stack.cols["lane"].copy()
-        lane[self._stack.bounds[1]:] += self.cfg.n_lanes
-        return lane
-
-    def _lane_split(self):
-        """neighbor_maps() of the stacked rows by road lane, kept by the
-        stack until a row moves or changes lane."""
-        stack = self._stack
-        if stack.split is None:
-            stack.split = neighbor_maps(self._road_lanes(), 2 * self.cfg.n_lanes)
-        return stack.split
-
     def _effective_headway(self) -> np.ndarray:
-        headway = np.full(self._stack.n, self.cfg.idm.time_headway)
-        for d in self.directions.values():
-            block = headway[d._rows]
-            s = d.s
-            for b in d._bottlenecks:
-                inside = (s >= b.s_start) & (s < b.s_start + b.width)
-                block[inside] += b.extra_headway
+        stack = self._stack
+        headway = np.full(stack.n, self.cfg.idm.time_headway)
+        for b in self.cfg.bottlenecks:
+            lo, hi = stack.bounds[b.direction - 1], stack.bounds[b.direction]
+            s = stack.cols["s"][lo:hi]
+            inside = (s >= b.s_start) & (s < b.s_start + b.width)
+            headway[lo:hi][inside] += b.extra_headway
         return headway
 
     def _accel(self, lead: np.ndarray, headway: np.ndarray) -> np.ndarray:
-        """IDM accelerations from _lane_split()'s leaders and _effective_headway()."""
+        """IDM accelerations from the lane split's leaders and _effective_headway()."""
         cols = self._stack.cols
         s, v = cols["s"], cols["v"]
         gap = s[lead] - s - self.cfg.idm.vehicle_length
@@ -537,13 +535,13 @@ class TrafficSim:
             return
         cols = self._stack.cols
         s, v, v0, lane = cols["s"], cols["v"], cols["v0"], cols["lane"]
-        maps = self._lane_split()
+        maps = self._stack.lane_split()
         headway = self._effective_headway()
         acc = self._accel(maps[1], headway)
         idx, target, incentive = propose_lane_changes(
             s, v, v0, acc, headway, maps, lanes, self.cfg.idm, self.cfg.mobil,
         )
-        road_lanes = self._road_lanes()
+        road_lanes = self._stack.road_lanes()
         # each direction's changes in its own order; a revalidation reads
         # only its own direction's target lane, so interleaving them is safe
         for j in np.argsort(-incentive, kind="stable"):
@@ -558,32 +556,28 @@ class TrafficSim:
                 self._stack.split = None
 
     def _check_collisions(self, t: float):
-        """Raise CollisionError for the first overlapping pair of a lane.
+        """Raise CollisionError for the rearmost overlapping pair of the
+        lowest road lane that has one.
 
         The split's leader map pairs every vehicle with the one ahead of
-        it in its lane, so one check over it clears the usual case; only
-        an overlap needs the per-lane scan that names it.
+        it in its lane, and rows ascend in s within a lane, so the first
+        overlapping row of that lane is the rear of that pair.
         """
         cols = self._stack.cols
         s = cols["s"]
-        members, lead, _ = self._lane_split()
-        if not np.any((s[lead] - s - self.cfg.idm.vehicle_length < 0.0) & (lead >= 0)):
+        lead = self._stack.lane_split()[1]
+        gap = s[lead] - s - self.cfg.idm.vehicle_length
+        bad = np.flatnonzero((gap < 0.0) & (lead >= 0))
+        if not bad.size:
             return
-        lanes = self.cfg.n_lanes
-        for k, m in enumerate(members):
-            if m.size < 2:
-                continue
-            sm = s[m]
-            gaps = sm[1:] - sm[:-1] - self.cfg.idm.vehicle_length
-            bad = np.nonzero(gaps < 0.0)[0]
-            if bad.size:
-                i = m[bad[0]]
-                j = m[bad[0] + 1]
-                raise CollisionError(
-                    f"t={t:.2f}s direction {k // lanes + 1} lane {k % lanes}: vehicles "
-                    f"{int(cols['vid'][i])} and {int(cols['vid'][j])} overlap "
-                    f"(gap {gaps[bad[0]]:.3f} m)"
-                )
+        road_lane = self._stack.road_lanes()[bad]
+        at = int(np.argmin(road_lane))  # the lowest lane's first, rearmost row
+        i, k, lanes = bad[at], int(road_lane[at]), self.cfg.n_lanes
+        raise CollisionError(
+            f"t={t:.2f}s direction {k // lanes + 1} lane {k % lanes}: vehicles "
+            f"{int(cols['vid'][i])} and {int(cols['vid'][lead[i]])} overlap "
+            f"(gap {gap[i]:.3f} m)"
+        )
 
     def _remove_exited(self):
         gone = self._stack.cols["s"] > self.cfg.length
@@ -599,7 +593,7 @@ class TrafficSim:
     def step(self):
         dt = self.cfg.dt
         t_new = self.t + dt
-        self._advance(self._accel(self._lane_split()[1], self._effective_headway()), dt)
+        self._advance(self._accel(self._stack.lane_split()[1], self._effective_headway()), dt)
         self._stack.resort()
         if self.step_count % self._mobil_every == 0:
             self._lane_pass()

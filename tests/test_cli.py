@@ -201,6 +201,9 @@ class TestExitCodes:
         assert run(tmp_path, "oracle", config="oracle:\n  samples: 0\n") == 2
         # the jam analysis reads direction 1 only
         assert run(tmp_path, "jam", config="jam:\n  bottleneck:\n    direction: 2\n") == 2
+        # a bottleneck past the road end would never act
+        past_end = "jam:\n  duration_s: 60\n  bottleneck:\n    position_m: 30000\n"
+        assert run(tmp_path, "jam", config=past_end) == 2
         assert main(["analytic", "--config", str(tmp_path / "missing.yaml")]) == 2
 
     def test_collision_maps_to_exit_3(self, tmp_path, monkeypatch):
@@ -224,6 +227,15 @@ class TestExitCodes:
             assert run(tmp_path, command, config="comms:\n  range_model: exponential\n") == 2
             assert "comms.range_model" in capsys.readouterr().err
             assert [p.name for p in tmp_path.iterdir()] == ["run.yaml"]
+
+    def test_landmark_outside_the_road_refused_before_any_run(self, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulated despite the bad config")
+
+        monkeypatch.setattr("transhop.cli.replicate_cell", no_run)
+        assert run(tmp_path, "validate", config="comms:\n  landmark_x_m: 25000\n") == 2
+        assert "comms.landmark_x_m" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.yaml"]
 
     @pytest.mark.parametrize(
         "command, config",

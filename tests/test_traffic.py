@@ -104,9 +104,8 @@ class TestCarFollowing:
     @pytest.mark.parametrize("direction", [1, 2])
     def test_overlap_without_move_names_the_first_pair(self, direction):
         """An overlap on a step where no row moves and no lane pass runs,
-        which the audit first finds through the step's leader map, is
-        named by the per-lane scan: the first pair of the lane, with its
-        gap."""
+        which the audit finds through the step's leader map, is named by
+        the first pair of the lane, with its gap."""
         sim = quiet_sim()
         for k in (1, 2):
             sim.state(k).seed_vehicle(x=5000.0, lane=0, speed=20.0, desired_speed=20.0)
@@ -121,6 +120,30 @@ class TestCarFollowing:
         assert str(err.value) == (
             f"t=0.75s direction {direction} lane 0: vehicles {direction + 1} and "
             f"{direction + 3} overlap (gap -1.469 m)"
+        )
+
+    def test_overlaps_in_several_lanes_name_the_lowest_road_lane(self):
+        """Overlaps in two lanes of each direction in one step: the audit
+        names the rearmost overlapping pair of the lowest road lane
+        (direction 1 lane 0), though direction 1's lane-1 pair comes first
+        in row order."""
+        sim = quiet_sim(n_lanes=2)
+        sim.run(0.5)
+        scene = {  # (lane, s) per vehicle, seeded in this order
+            1: ((1, 100.0), (1, 103.5), (0, 50.0), (0, 300.0), (0, 303.0),
+                (0, 500.0), (0, 503.5)),
+            2: ((0, 150.0), (0, 153.5), (1, 250.0), (1, 253.0)),
+        }
+        for k, rows in scene.items():
+            d = sim.state(k)
+            for lane, s in rows:
+                d.seed_vehicle(x=d.x_of(s), lane=lane, speed=0.0, desired_speed=20.0)
+        assert sim.step_count % sim._mobil_every != 0
+        with pytest.raises(CollisionError) as err:
+            sim.step()
+        assert sim.state(1).lane.tolist() == [0, 1, 1, 0, 0, 0, 0]
+        assert str(err.value) == (
+            "t=0.75s direction 1 lane 0: vehicles 6 and 8 overlap (gap -1.969 m)"
         )
 
 
@@ -166,7 +189,7 @@ def assert_split_is_fresh(sim) -> bool:
     split = sim._stack.split
     if split is None:
         return False
-    members, lead, fol = neighbor_maps(sim._road_lanes(), 2 * sim.cfg.n_lanes)
+    members, lead, fol = neighbor_maps(sim._stack.road_lanes(), 2 * sim.cfg.n_lanes)
     assert len(split[0]) == len(members)
     for got, want in zip(split[0], members):
         assert np.array_equal(got, want)
@@ -192,17 +215,17 @@ class TestLaneSplit:
     def test_adding_rows_drops_the_split(self):
         sim = quiet_sim(n_lanes=2)
         for k, x, lane in ((1, 500.0, 0), (2, 700.0, 1), (1, 300.0, 1), (2, 900.0, 1)):
-            sim._lane_split()
+            sim._stack.lane_split()
             sim.state(k).seed_vehicle(x=x, lane=lane, speed=20.0, desired_speed=30.0)
-            sim._lane_split()
+            sim._stack.lane_split()
             assert assert_split_is_fresh(sim)
-        sim._lane_split()
+        sim._stack.lane_split()
         sim._stack.insert(1, {
             "s": np.zeros(2), "prev_s": np.zeros(2), "v": [9.0, 9.0], "v0": [30.0, 30.0],
             "lane": [0, 1], "vid": [100, 102], "equipped": [False, False],
             "ema_speed": [9.0, 9.0], "congested": [False, False],
         })
-        sim._lane_split()
+        sim._stack.lane_split()
         assert assert_split_is_fresh(sim)
         assert [m.size for m in sim._stack.split[0]] == [2, 2, 0, 2]
 
@@ -254,11 +277,9 @@ class TestProbesAndDetectors:
 
 class TestBoundaries:
     def test_candidate_rate_scales_with_lanes(self):
-        from transhop.traffic.road import DirectionState
-
         for lanes, rate in ((1, 1.0 / 3.0), (2, 2.0 / 3.0)):
             cfg = RoadConfig(n_lanes=lanes, inflow1=InflowProfile(1.0 / 3.0))
-            d = DirectionState(1, cfg, seed=5)
+            d = TrafficSim(cfg, seed=5).state(1)
             gaps = [d._exp_gap() for _ in range(20000)]
             assert np.mean(gaps) == pytest.approx(1.0 / rate, rel=0.02)
 
@@ -305,6 +326,12 @@ class TestBoundaries:
             BottleneckSpec(direction=1, s_start=0.0, width=0.0, extra_headway=0.0)
         with pytest.raises(ValueError):
             BottleneckSpec(direction=1, s_start=0.0, width=1.0, extra_headway=-0.1)
+        # a road refuses a bottleneck that ends past its end
+        at_end = BottleneckSpec(direction=2, s_start=19990.0, width=10.0, extra_headway=1.0)
+        assert RoadConfig(bottlenecks=(at_end,)).bottlenecks == (at_end,)
+        past_end = BottleneckSpec(direction=1, s_start=19990.0, width=20.0, extra_headway=1.0)
+        with pytest.raises(ValueError):
+            RoadConfig(bottlenecks=(past_end,))
 
 
 class TestPlatooning:
@@ -444,7 +471,7 @@ def test_idm_on_floats_is_the_float_formula():
 def make_stack(block1, block2):
     """A stack with the given blocks of (s, vid) rows; column v tags each
     row with its storage index so that every column's reordering shows."""
-    stack = _Stack()
+    stack = _Stack(n_lanes=1)
     rows = list(block1) + list(block2)
     stack.cols = {name: np.zeros(len(rows), dtype=dtype) for name, dtype in _COLUMNS}
     stack.cols["s"][:] = [s for s, _ in rows]
