@@ -207,10 +207,10 @@ class CommsEngine:
         up, down = update_jam_state(state, sim.cfg.dt, self.cfg.jam)
         if not self.generation_enabled:
             return
-        xs = state.x
+        xs, equipped = state.x, state.equipped
         for kind, idx in ((KIND_UPSTREAM, up), (KIND_DOWNSTREAM, down)):
             for i in idx:
-                if state.equipped[i]:
+                if equipped[i]:
                     x = float(xs[i])
                     self._new_message(kind, int(state.vid[i]), x, t, front_position=x, front_time=t)
 
@@ -227,8 +227,9 @@ class CommsEngine:
         self._last_t = t_now
 
         if self.landmark_probe is not None:
-            for t, vid, _lane, _v, equipped in self.landmark_probe.drain():
-                if equipped and self.generation_enabled:
+            alpha = sim.cfg.equipped_fraction
+            for t, vid, _lane, _v, u in self.landmark_probe.drain():
+                if u < alpha and self.generation_enabled:
                     self._new_message(KIND_LANDMARK, vid, self.landmark_probe.x, t)
 
         if not self._active:

@@ -9,6 +9,7 @@ measured conditions, never at the nominal inflow settings.
 Cells are self-contained and picklable, so sweeps run in a process pool.
 """
 
+import copy
 import math
 import os
 from collections import Counter
@@ -73,15 +74,38 @@ class CellResult:
     reading2: DetectorReading | None
 
 
-def run_validation_cell(cell: CellConfig) -> CellResult:
+# The latest warmed (sim, engine) as (key, snapshot), or None.  Equipment
+# is a stored uniform per vehicle that never feeds back into the dynamics,
+# and warmup generates no messages, so a warm state depends on the
+# penetration only through its cfg: cells that differ only in
+# equipped_fraction (a penetration sweep on one seed) warm once per process.
+_warm = None
+
+
+def _warmed(cell: CellConfig):
+    """The cell's (sim, engine) after warmup, copied from _warm when the
+    cell shares its key, else warmed now and stored there."""
+    global _warm
+    warmup = default_warmup(cell.road) if cell.warmup is None else cell.warmup
+    key = (replace(cell.road, equipped_fraction=0.0), cell.comm, cell.seed, warmup)
+    if _warm is not None and _warm[0] == key:
+        sim, engine = copy.deepcopy(_warm[1])
+        sim.cfg = cell.road
+        for d in sim.directions.values():
+            d.cfg = cell.road
+        return sim, engine
     sim = TrafficSim(cell.road, cell.seed)
     engine = CommsEngine(sim, cell.comm)
     engine.generation_enabled = False
-    warmup = default_warmup(cell.road) if cell.warmup is None else cell.warmup
-    steps = round(warmup / cell.road.dt)
-    for _ in range(steps):
+    for _ in range(round(warmup / cell.road.dt)):
         sim.step()
         engine.after_step(sim)
+    _warm = (key, copy.deepcopy((sim, engine)))
+    return sim, engine
+
+
+def run_validation_cell(cell: CellConfig) -> CellResult:
+    sim, engine = _warmed(cell)
     measure_start = sim.t
     det2 = sim.add_probe(cell.comm.landmark_x, direction=2)
     engine.generation_enabled = True

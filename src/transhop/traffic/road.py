@@ -42,7 +42,7 @@ _COLUMNS = (
     ("v0", float),
     ("lane", np.int64),
     ("vid", np.int64),
-    ("equipped", bool),
+    ("equip_u", float),  # equipment draw: equipped while below the penetration
     ("ema_speed", float),
     ("congested", bool),
 )
@@ -118,6 +118,11 @@ class InflowProfile:
     def value(self, t: float) -> float:
         return float(np.interp(t, self.ts, self.qs))
 
+    def __eq__(self, other):
+        if not isinstance(other, InflowProfile):
+            return NotImplemented
+        return np.array_equal(self.ts, other.ts) and np.array_equal(self.qs, other.qs)
+
 
 @dataclass
 class RoadConfig:
@@ -168,7 +173,8 @@ class DetectorReading:
 class CrossingProbe:
     """Records every vehicle of one direction crossing a fixed position.
 
-    rows holds one (t, vid, lane, v, equipped) tuple per crossing, in order.
+    rows holds one (t, vid, lane, v, equip_u) tuple per crossing, in order;
+    the vehicle is equipped iff equip_u < the road's equipped_fraction.
     """
 
     def __init__(self, x: float, direction: int, s_pos: float):
@@ -182,7 +188,7 @@ class CrossingProbe:
         hit = np.flatnonzero((state.prev_s < self.s_pos) & (state.s >= self.s_pos))
         for i in hit:
             self.rows.append((t, int(state.vid[i]), int(state.lane[i]), float(state.v[i]),
-                              bool(state.equipped[i])))
+                              float(state.equip_u[i])))
 
     def drain(self):
         """New crossings since the previous drain."""
@@ -195,7 +201,7 @@ def detector_reading(probe: CrossingProbe, t_start: float, t_end: float):
     """Reading over (t_start, t_end], or None if nothing crossed."""
     if t_end <= t_start:
         raise ValueError("empty measurement window")
-    speeds = [v for t, _vid, _lane, v, _eq in probe.rows if t_start < t <= t_end]
+    speeds = [v for t, _vid, _lane, v, _u in probe.rows if t_start < t <= t_end]
     n = len(speeds)
     if n == 0:
         return None
@@ -363,8 +369,7 @@ class DirectionState:
                     self.cfg.desired_speed_floor,
                     float(self.rng.normal(self.cfg.desired_speed_mean, self.cfg.desired_speed_std)),
                 )
-                equipped = bool(self.rng.random() < self.cfg.equipped_fraction)
-                self._pending.append((v0, equipped))
+                self._pending.append((v0, self.rng.random()))
                 self.arrivals += 1
             self._next_candidate = t_arr + self._exp_gap()
 
@@ -395,7 +400,7 @@ class DirectionState:
             else:
                 open_lanes[k] = (_FREE_GAP, -1.0)
         while self._pending and open_lanes:
-            v0, equipped = self._pending[0]
+            v0, u = self._pending[0]
             best = max(open_lanes, key=lambda k: open_lanes[k][0])
             gap0, lead_speed = open_lanes[best]
             if lead_speed < 0.0:
@@ -404,7 +409,7 @@ class DirectionState:
                 v_ins = _entry_speed(v0, gap0, lead_speed, self.cfg.idm)
             if gap0 >= self.cfg.idm.min_gap and v_ins >= _MIN_ENTRY_SPEED:
                 self._pending.popleft()
-                inserted_rows.append((best, v_ins, v0, equipped))
+                inserted_rows.append((best, v_ins, v0, u))
                 del open_lanes[best]
             else:
                 break
@@ -412,23 +417,34 @@ class DirectionState:
             self.blocked_steps += 1
         if not inserted_rows:
             return
-        lanes, speeds, desired, equipped = zip(*inserted_rows)
+        lanes, speeds, desired, draws = zip(*inserted_rows)
         self._add_vehicles(
-            s=np.zeros(len(lanes)), lane=lanes, v=speeds, v0=desired, equipped=equipped
+            s=np.zeros(len(lanes)), lane=lanes, v=speeds, v0=desired, equip_u=draws
         )
 
     def seed_vehicle(self, x, lane, speed, desired_speed, equipped=False) -> int:
-        """Place a vehicle directly; for tests and hand-built scenes."""
+        """Place a vehicle directly; for tests and hand-built scenes.
+
+        Its equipment holds at every penetration: the draw is -inf if
+        equipped, +inf if not.
+        """
         s = self.s_of(x)
         if not 0.0 <= s <= self.cfg.length:
             raise ValueError("position outside the road")
         (vid,) = self._add_vehicles(
-            s=[s], lane=[lane], v=[speed], v0=[desired_speed], equipped=[equipped]
+            s=[s], lane=[lane], v=[speed], v0=[desired_speed],
+            equip_u=[-math.inf if equipped else math.inf],
         )
         return int(vid)
 
+    @property
+    def equipped(self) -> np.ndarray:
+        """Which of this direction's vehicles carry a transceiver at the
+        road's penetration; a new array, not a view."""
+        return self.equip_u < self.cfg.equipped_fraction
+
     def _add_vehicles(self, **new) -> np.ndarray:
-        """Put vehicles given by their s, lane, v, v0 and equipped values
+        """Put vehicles given by their s, lane, v, v0 and equip_u values
         into this direction's block, in (s, vid) order.
 
         They get fresh vids, prev_s = s, a smoothed speed of v and no

@@ -1,6 +1,12 @@
-import numpy as np
+from dataclasses import fields
 
-from transhop.scenarios import _front_positions
+import numpy as np
+import pytest
+
+from transhop import scenarios
+from transhop.comms import CommsConfig
+from transhop.scenarios import CellConfig, CellResult, _front_positions
+from transhop.traffic.road import InflowProfile, RoadConfig, TrafficSim
 
 
 def front_positions_by_row(field_t, field_x, field_v, v_cong, x_lo, x_hi):
@@ -31,3 +37,67 @@ def test_front_scan_matches_row_scan():
             assert g.dtype == w.dtype and g.shape == w.shape
             assert np.array_equal(g, w)
     assert got[0].size == 0
+
+
+@pytest.fixture
+def empty_cache(monkeypatch):
+    monkeypatch.setattr(scenarios, "_warm", None)
+
+
+def short_cell(alpha=0.05, seed=11, lanes=1, inflow=1200.0, landmark=3000.0, warmup=150.0):
+    q = InflowProfile(inflow / 3600.0)
+    road = RoadConfig(length=5000.0, n_lanes=lanes, inflow1=q, inflow2=q,
+                      equipped_fraction=alpha)
+    return CellConfig(road=road, comm=CommsConfig(landmark_x=landmark), messages=4,
+                      seed=seed, warmup=warmup)
+
+
+def fresh_result(cell):
+    saved = scenarios._warm
+    scenarios._warm = None
+    try:
+        return scenarios.run_validation_cell(cell)
+    finally:
+        scenarios._warm = saved
+
+
+def assert_same_result(got, want):
+    for f in fields(CellResult):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "samples":
+            assert a.keys() == b.keys()
+            for k in a:
+                assert a[k].dtype == b[k].dtype and a[k].tobytes() == b[k].tobytes(), k
+        else:
+            assert a == b, f.name
+
+
+@pytest.mark.parametrize("alphas", [(0.02, 0.10), (0.10, 0.02)])
+def test_restored_cell_equals_a_fresh_cell(empty_cache, alphas):
+    cells = [short_cell(alpha) for alpha in alphas]
+    want = [fresh_result(cell) for cell in cells]
+    assert sum(r.delivered for r in want) > 0
+    # the first cell warms and stores; the second and a repeat of it restore
+    for cell, w in zip(cells + cells[1:], want + want[1:]):
+        assert_same_result(scenarios.run_validation_cell(cell), w)
+
+
+def test_one_warmup_per_seed_and_one_entry(empty_cache, monkeypatch):
+    built = []
+
+    def counting_sim(cfg, seed):
+        built.append(seed)
+        return TrafficSim(cfg, seed)
+
+    monkeypatch.setattr(scenarios, "TrafficSim", counting_sim)
+    for alpha in (0.02, 0.04, 0.06, 0.10):
+        scenarios._warmed(short_cell(alpha))
+    assert len(built) == 1
+    # the last cell shares the first four's key: it misses because the
+    # cache keeps only the latest entry
+    misses = [short_cell(seed=12), short_cell(lanes=2), short_cell(inflow=900.0),
+              short_cell(landmark=2500.0), short_cell(warmup=100.0), short_cell()]
+    for k, cell in enumerate(misses, start=2):
+        sim, _engine = scenarios._warmed(cell)
+        assert len(built) == k
+        assert sim.cfg is cell.road

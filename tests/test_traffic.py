@@ -46,6 +46,13 @@ class TestInflowProfile:
         with pytest.raises(ValueError):
             InflowProfile([(0.0, -1.0)])
 
+    def test_value_equality(self):
+        assert InflowProfile([(0.0, 0.5), (9.0, 1.0)]) == InflowProfile([(0.0, 0.5), (9.0, 1.0)])
+        assert InflowProfile(0.5) != InflowProfile([(0.0, 0.5), (9.0, 0.5)])
+        assert RoadConfig() == RoadConfig()
+        assert RoadConfig() != RoadConfig(inflow1=InflowProfile(0.3))
+        assert RoadConfig() != RoadConfig(inflow2=InflowProfile([(0.0, 1.0 / 3.0), (60.0, 0.5)]))
+
 
 class TestFreeFlow:
     def test_ballistic_at_desired_speed(self):
@@ -222,7 +229,7 @@ class TestLaneSplit:
         sim._stack.lane_split()
         sim._stack.insert(1, {
             "s": np.zeros(2), "prev_s": np.zeros(2), "v": [9.0, 9.0], "v0": [30.0, 30.0],
-            "lane": [0, 1], "vid": [100, 102], "equipped": [False, False],
+            "lane": [0, 1], "vid": [100, 102], "equip_u": [0.5, 0.5],
             "ema_speed": [9.0, 9.0], "congested": [False, False],
         })
         sim._stack.lane_split()
@@ -254,8 +261,15 @@ class TestProbesAndDetectors:
         sim.run(10.0)
         second = probe.drain()
         assert len(second) == 1
-        assert second[0][4] is True  # the equipped trailer
+        assert second[0][4] == -math.inf  # the equipped trailer's draw
         assert first[0][1] != second[0][1]
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_hand_placed_equipment_holds_at_any_penetration(self, alpha):
+        d = quiet_sim(equipped_fraction=alpha).state(1)
+        d.seed_vehicle(x=300.0, lane=0, speed=20.0, desired_speed=20.0, equipped=True)
+        d.seed_vehicle(x=200.0, lane=0, speed=20.0, desired_speed=20.0)
+        assert d.equipped.tolist() == [False, True]
 
     def test_detector_reading_exact(self):
         sim = quiet_sim(n_lanes=3)
@@ -562,10 +576,10 @@ class TestStackOrder:
         stack = make_stack([(0.0, 0), (50.0, 2)], [(0.0, 1)])
         stack.insert(1, {
             "s": np.zeros(2), "prev_s": np.zeros(2), "v": [9.0, 9.0], "v0": [30.0, 30.0],
-            "lane": [0, 1], "vid": [4, 6], "equipped": [False, True],
+            "lane": [0, 1], "vid": [4, 6], "equip_u": [0.75, 0.25],
             "ema_speed": [9.0, 9.0], "congested": [False, False],
         })
         assert stack.bounds == [0, 4, 5]
         assert stack.cols["vid"].tolist() == [0, 4, 6, 2, 1]
         assert stack.cols["lane"].tolist() == [0, 0, 1, 0, 0]
-        assert stack.cols["equipped"].tolist() == [False, False, True, False, False]
+        assert stack.cols["equip_u"].tolist() == [0.0, 0.75, 0.25, 0.0, 0.0]
