@@ -26,6 +26,7 @@ from .config import (
     ConfigError,
     analytic_conditions,
     comm_params,
+    comms_config,
     jam_scenario,
     load_config,
     oracle_conditions,
@@ -193,9 +194,7 @@ def cmd_oracle(cfg: dict, out_dir: str, seed: int, check: bool) -> int:
     alphas = [float(x) for x in o["penetrations"]]
     if not alphas or any(not 0.0 <= x <= 1.0 for x in alphas):
         raise ConfigError("oracle.penetrations must be a list of values in [0, 1]")
-    interval = float(o["broadcast_interval_s"])
-    if interval < 0.0:
-        raise ConfigError("oracle.broadcast_interval_s must be non-negative")
+    interval = comms_config(cfg).broadcast_interval
     cp = comm_params(cfg)
 
     cells = {}
@@ -280,11 +279,9 @@ def cmd_oracle(cfg: dict, out_dir: str, seed: int, check: bool) -> int:
 
 def cmd_validate(cfg: dict, out_dir: str, seed: int, check: bool) -> int:
     v = cfg["validate"]
-    replicates = int(v["replicates"])
-    if replicates < 1:
-        raise ConfigError("validate.replicates must be at least 1")
-    parallel = bool(v["parallel"])
     cells = validation_cells(cfg, seed)
+    replicates = int(v["replicates"])
+    parallel = bool(v["parallel"])
     cp = comm_params(cfg)
 
     reports = {}
@@ -366,7 +363,7 @@ def cmd_validate(cfg: dict, out_dir: str, seed: int, check: bool) -> int:
 def cmd_jam(cfg: dict, out_dir: str, seed: int, check: bool) -> int:
     jc = jam_scenario(cfg, seed)
     res = run_jam_scenario(jc)
-    j = cfg["jam"]
+    b = jc.road.bottlenecks[0]
 
     front_kmh = None if res.front_speed is None else ms_to_kmh(res.front_speed)
     age = None
@@ -378,10 +375,15 @@ def cmd_jam(cfg: dict, out_dir: str, seed: int, check: bool) -> int:
         }
     payload = {
         "seed": seed,
-        "penetration": float(j["penetration"]),
-        "duration_s": float(j["duration_s"]),
-        "peak_end_s": float(j["peak_end_s"]),
-        "bottleneck": dict(j["bottleneck"]),
+        "penetration": jc.road.equipped_fraction,
+        "duration_s": jc.duration,
+        "peak_end_s": jc.peak_end,
+        "bottleneck": {
+            "position_m": b.s_start,
+            "width_m": b.width,
+            "extra_headway_s": b.extra_headway,
+            "direction": b.direction,
+        },
         "breakdown_time_s": res.breakdown_time,
         "upstream_front_speed_kmh": front_kmh,
         "message_age": age,
@@ -447,12 +449,11 @@ def cmd_jam(cfg: dict, out_dir: str, seed: int, check: bool) -> int:
     )
     if not check:
         return EXIT_OK
-    peak_end = float(j["peak_end_s"])
     checks = [
         (
             "breakdown during peak",
-            res.breakdown_time is not None and res.breakdown_time <= peak_end,
-            f"breakdown = {bd}, peak ends at {peak_end:.0f}s",
+            res.breakdown_time is not None and res.breakdown_time <= jc.peak_end,
+            f"breakdown = {bd}, peak ends at {jc.peak_end:.0f}s",
         ),
         (
             "upstream front speed",
@@ -467,7 +468,7 @@ def cmd_jam(cfg: dict, out_dir: str, seed: int, check: bool) -> int:
             f"downstream = {res.counters['downstream_delivered_far']}",
         ),
         (
-            "message age at 1 km",
+            f"message age at {jc.age_distance / 1000.0:g} km",
             age is not None and 60.0 <= age["mean_age_s"] <= 300.0,
             "no ages" if age is None else f"mean = {age['mean_age_s'] / 60.0:.2f} min",
         ),
@@ -510,6 +511,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         out_dir = args.output_dir if args.output_dir is not None else cfg["output_dir"]
         seed = args.seed if args.seed is not None else int(cfg["seed"])
+        if seed < 0:
+            raise ConfigError(f"'seed' must be non-negative, not {seed}")
         return args.handler(cfg, out_dir, seed, args.check)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -69,7 +69,6 @@ DEFAULTS = {
         "speed_kmh": 90.0,
         "density_per_km": 30.0,
         "penetrations": [0.01, 0.05, 0.10],
-        "broadcast_interval_s": 0.0,
     },
     "validate": {
         # each cell is one (lanes, penetration) point; messages are split
@@ -174,95 +173,91 @@ def _positive(value, key):
     return float(value)
 
 
+def _build(section, cls, **kw):
+    """cls(**kw), with the object's own refusal as a ConfigError naming the section."""
+    try:
+        return cls(**kw)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
+
+
 def comm_params(cfg: dict) -> CommParams:
     c = cfg["comms"]
     r = _positive(c["broadcast_range_m"], "comms.broadcast_range_m")
     r_min = _positive(c["min_distance_m"], "comms.min_distance_m")
-    return CommParams.fixed(r=r, r_min=r_min)
+    return _build("comms", CommParams.fixed, r=r, r_min=r_min)
 
 
 def comms_config(cfg: dict, **overrides) -> CommsConfig:
     c = cfg["comms"]
     jam = cfg["jam"]["thresholds"]
+    cp = comm_params(cfg)
     kwargs = dict(
-        broadcast_range=_positive(c["broadcast_range_m"], "comms.broadcast_range_m"),
-        min_distance=_positive(c["min_distance_m"], "comms.min_distance_m"),
+        broadcast_range=cp.fixed_r,
+        min_distance=cp.r_min,
         landmark_x=float(c["landmark_x_m"]),
         broadcast_interval=float(c["broadcast_interval_s"]),
-        jam=JamThresholds(
+        jam=_build(
+            "jam.thresholds",
+            JamThresholds,
             v_congested=kmh_to_ms(float(jam["congested_below_kmh"])),
             v_free=kmh_to_ms(float(jam["free_above_kmh"])),
-            smoothing_tau=_positive(jam["smoothing_s"], "jam.thresholds.smoothing_s"),
+            smoothing_tau=float(jam["smoothing_s"]),
         ),
     )
     kwargs.update(overrides)
-    return CommsConfig(**kwargs)
-
-
-def _idm(cfg: dict) -> IdmParams:
-    c = cfg["traffic"]["idm"]
-    return IdmParams(
-        max_accel=_positive(c["max_accel_ms2"], "traffic.idm.max_accel_ms2"),
-        comfort_decel=_positive(c["comfort_decel_ms2"], "traffic.idm.comfort_decel_ms2"),
-        time_headway=_positive(c["time_headway_s"], "traffic.idm.time_headway_s"),
-        min_gap=_positive(c["min_gap_m"], "traffic.idm.min_gap_m"),
-        vehicle_length=_positive(c["vehicle_length_m"], "traffic.idm.vehicle_length_m"),
-    )
-
-
-def _mobil(cfg: dict) -> MobilParams:
-    c = cfg["traffic"]["mobil"]
-    return MobilParams(
-        politeness=float(c["politeness"]),
-        threshold=float(c["threshold_ms2"]),
-        safe_braking=_positive(c["safe_braking_ms2"], "traffic.mobil.safe_braking_ms2"),
-        interval=_positive(c["interval_s"], "traffic.mobil.interval_s"),
-        keep_right_bias=float(c["keep_right_bias_ms2"]),
-    )
+    return _build("comms", CommsConfig, **kwargs)
 
 
 def road_config(cfg: dict, **overrides) -> RoadConfig:
     t = cfg["traffic"]
+    idm, mobil = t["idm"], t["mobil"]
     rate = _positive(t["inflow_per_lane_veh_h"], "traffic.inflow_per_lane_veh_h") / 3600.0
     kwargs = dict(
         length=_positive(t["length_m"], "traffic.length_m"),
         n_lanes=int(t["lanes_per_direction"]),
         dt=_positive(t["time_step_s"], "traffic.time_step_s"),
-        idm=_idm(cfg),
-        mobil=_mobil(cfg),
-        desired_speed_mean=kmh_to_ms(
-            _positive(t["desired_speed_mean_kmh"], "traffic.desired_speed_mean_kmh")
+        idm=_build(
+            "traffic.idm",
+            IdmParams,
+            max_accel=float(idm["max_accel_ms2"]),
+            comfort_decel=float(idm["comfort_decel_ms2"]),
+            time_headway=float(idm["time_headway_s"]),
+            min_gap=float(idm["min_gap_m"]),
+            vehicle_length=float(idm["vehicle_length_m"]),
         ),
+        mobil=_build(
+            "traffic.mobil",
+            MobilParams,
+            politeness=float(mobil["politeness"]),
+            threshold=float(mobil["threshold_ms2"]),
+            safe_braking=float(mobil["safe_braking_ms2"]),
+            interval=float(mobil["interval_s"]),
+            keep_right_bias=float(mobil["keep_right_bias_ms2"]),
+        ),
+        desired_speed_mean=kmh_to_ms(float(t["desired_speed_mean_kmh"])),
         desired_speed_std=kmh_to_ms(float(t["desired_speed_std_kmh"])),
-        desired_speed_floor=kmh_to_ms(
-            _positive(t["desired_speed_floor_kmh"], "traffic.desired_speed_floor_kmh")
-        ),
+        desired_speed_floor=kmh_to_ms(float(t["desired_speed_floor_kmh"])),
         inflow1=InflowProfile(points=((0.0, rate),)),
         inflow2=InflowProfile(points=((0.0, rate),)),
     )
     kwargs.update(overrides)
-    try:
-        return RoadConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _build("traffic", RoadConfig, **kwargs)
+
+
+def _conditions(cfg: dict, section: str, alpha: float) -> TrafficConditions:
+    s = cfg[section]
+    v = kmh_to_ms(_positive(s["speed_kmh"], f"{section}.speed_kmh"))
+    rho = per_km_to_per_m(_positive(s["density_per_km"], f"{section}.density_per_km"))
+    return _build(section, TrafficConditions.symmetric, v=v, rho=rho, alpha=alpha)
 
 
 def analytic_conditions(cfg: dict, alpha: float) -> TrafficConditions:
-    a = cfg["analytic"]
-    return TrafficConditions.symmetric(
-        v=kmh_to_ms(_positive(a["speed_kmh"], "analytic.speed_kmh")),
-        rho=per_km_to_per_m(_positive(a["density_per_km"], "analytic.density_per_km")),
-        alpha=alpha,
-    )
+    return _conditions(cfg, "analytic", alpha)
 
 
 def oracle_conditions(cfg: dict, alpha: float) -> TrafficConditions:
-    o = cfg["oracle"]
-    return TrafficConditions.symmetric(
-        v=kmh_to_ms(_positive(o["speed_kmh"], "oracle.speed_kmh")),
-        rho=per_km_to_per_m(_positive(o["density_per_km"], "oracle.density_per_km")),
-        alpha=alpha,
-    )
+    return _conditions(cfg, "oracle", alpha)
 
 
 def validation_cells(cfg: dict, seed: int) -> list[CellConfig]:
@@ -275,7 +270,9 @@ def validation_cells(cfg: dict, seed: int) -> list[CellConfig]:
     specs = v["cells"]
     if not specs:
         raise ConfigError("validate.cells must be a non-empty list")
-    if len(specs) > 1 and int(v["replicates"]) > 100:
+    if v["replicates"] < 1:
+        raise ConfigError("validate.replicates must be at least 1")
+    if len(specs) > 1 and v["replicates"] > 100:
         raise ConfigError(
             "validate.replicates above 100 with more than one cell would reuse "
             "the next cell's seeds"
@@ -293,19 +290,17 @@ def validation_cells(cfg: dict, seed: int) -> list[CellConfig]:
         alpha = spec.get("penetration", 0.05)
         if not _is_number(alpha) or not 0.0 < alpha <= 1.0:
             raise ConfigError(f"'validate.cells[{idx}].penetration' must lie in (0, 1]")
-        road = road_config(cfg, n_lanes=int(lanes), equipped_fraction=float(alpha))
-        try:
-            cells.append(
-                CellConfig(
-                    road=road,
-                    comm=comm,
-                    messages=int(v["messages"]),
-                    seed=seed + 100000 * idx,
-                    max_time=_positive(v["max_time_s"], "validate.max_time_s"),
-                )
+        cells.append(
+            _build(
+                "validate",
+                CellConfig,
+                road=road_config(cfg, n_lanes=int(lanes), equipped_fraction=float(alpha)),
+                comm=comm,
+                messages=int(v["messages"]),
+                seed=seed + 100000 * idx,
+                max_time=_positive(v["max_time_s"], "validate.max_time_s"),
             )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        )
     return cells
 
 
@@ -325,35 +320,32 @@ def jam_scenario(cfg: dict, seed: int) -> JamConfig:
     # front detection, the speed field and its window read direction 1 only
     if int(b["direction"]) != 1:
         raise ConfigError("jam.bottleneck.direction must be 1")
-    base_rate = _positive(
-        cfg["traffic"]["inflow_per_lane_veh_h"], "traffic.inflow_per_lane_veh_h"
-    ) / 3600.0
-    bneck = BottleneckSpec(
+    bneck = _build(
+        "jam.bottleneck",
+        BottleneckSpec,
         direction=1,
         s_start=_positive(b["position_m"], "jam.bottleneck.position_m"),
-        width=_positive(b["width_m"], "jam.bottleneck.width_m"),
+        width=float(b["width_m"]),
         extra_headway=float(b["extra_headway_s"]),
     )
     road = road_config(
         cfg,
         equipped_fraction=alpha,
-        inflow1=InflowProfile(points=points),
-        inflow2=InflowProfile(points=((0.0, base_rate),)),
+        inflow1=_build("jam.demand_profile_veh_h", InflowProfile, points=points),
         bottlenecks=(bneck,),
     )
     # jam messages come from the fronts only, none from the landmark
     comm = comms_config(cfg, jam_detection=True, landmark_x=None)
-    try:
-        return JamConfig(
-            road=road,
-            comm=comm,
-            duration=_positive(j["duration_s"], "jam.duration_s"),
-            seed=seed,
-            peak_end=_positive(j["peak_end_s"], "jam.peak_end_s"),
-            field_dt=_positive(j["field_dt_s"], "jam.field_dt_s"),
-            field_dx=_positive(j["field_dx_m"], "jam.field_dx_m"),
-            trajectory_dt=_positive(j["trajectory_dt_s"], "jam.trajectory_dt_s"),
-            age_distance=_positive(j["age_distance_m"], "jam.age_distance_m"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _build(
+        "jam",
+        JamConfig,
+        road=road,
+        comm=comm,
+        duration=float(j["duration_s"]),
+        seed=seed,
+        peak_end=float(j["peak_end_s"]),
+        field_dt=_positive(j["field_dt_s"], "jam.field_dt_s"),
+        field_dx=_positive(j["field_dx_m"], "jam.field_dx_m"),
+        trajectory_dt=_positive(j["trajectory_dt_s"], "jam.trajectory_dt_s"),
+        age_distance=_positive(j["age_distance_m"], "jam.age_distance_m"),
+    )

@@ -148,6 +148,8 @@ class RoadConfig:
             raise ValueError("equipped_fraction must lie in [0, 1]")
         if self.desired_speed_floor <= 0.0 or self.desired_speed_mean <= 0.0:
             raise ValueError("desired speeds must be positive")
+        if self.desired_speed_std < 0.0:
+            raise ValueError("desired_speed_std must be non-negative")
         if any(b.s_start + b.width > self.length for b in self.bottlenecks):
             raise ValueError("a bottleneck must end within the road")
 

@@ -94,7 +94,7 @@ class TestOracle:
     def test_periodic_median_shift(self, tmp_path):
         cfg = (
             "oracle:\n  samples: 20000\n  penetrations: [0.05]\n"
-            "  broadcast_interval_s: 10\n"
+            "comms:\n  broadcast_interval_s: 10\n"
         )
         assert run(tmp_path, "oracle", "--check", config=cfg) == 0
         report = json.loads((tmp_path / "oracle_report.json").read_text())
@@ -181,8 +181,11 @@ class TestJam:
         field = read_csv(tmp_path / "jam_speed_field.csv")
         assert set(field[0]) == {"t_s", "x_m", "speed_kmh"}
 
-    def test_check_fails_without_breakdown(self, tmp_path):
-        assert run(tmp_path, "jam", "--check", config=self.TINY) == 1
+    def test_check_fails_without_breakdown(self, tmp_path, capsys):
+        cfg = self.TINY + "  age_distance_m: 500\n"
+        assert run(tmp_path, "jam", "--check", config=cfg) == 1
+        # the age band names the distance it was taken at
+        assert "[FAIL] message age at 0.5 km: no ages" in capsys.readouterr().out
 
     def test_zero_penetration_clean_run(self, tmp_path):
         cfg = self.TINY + "  bottleneck:\n    extra_headway_s: 0.0\n"
@@ -281,6 +284,30 @@ class TestExitCodes:
             ("validate", "validate:\n  replicates: 1.5\n", "validate.replicates"),
             ("validate", "validate:\n  cells:\n    - {lanes: 1.5}\n", "validate.cells[0].lanes"),
             ("jam", "jam:\n  bottleneck:\n    direction: 1.5\n", "jam.bottleneck.direction"),
+            # a value of the right kind that the object it builds refuses
+            ("validate", "traffic:\n  mobil:\n    politeness: 1.5\n", "traffic.mobil"),
+            ("validate", "traffic:\n  mobil:\n    threshold_ms2: -1\n", "traffic.mobil"),
+            ("validate", "traffic:\n  mobil:\n    keep_right_bias_ms2: -1\n", "traffic.mobil"),
+            ("validate", "traffic:\n  desired_speed_std_kmh: -5\n", "traffic: desired_speed_std"),
+            ("jam", "traffic:\n  desired_speed_std_kmh: -5\n", "traffic: desired_speed_std"),
+            ("oracle", "comms:\n  broadcast_interval_s: -1\n", "comms: broadcast_interval"),
+            ("validate", "comms:\n  broadcast_interval_s: -1\n", "comms: broadcast_interval"),
+            ("jam", "comms:\n  broadcast_interval_s: -1\n", "comms: broadcast_interval"),
+            ("jam", "jam:\n  thresholds:\n    congested_below_kmh: 70\n", "jam.thresholds"),
+            ("validate", "jam:\n  thresholds:\n    congested_below_kmh: 70\n", "jam.thresholds"),
+            ("jam", "jam:\n  bottleneck:\n    extra_headway_s: -1\n", "jam.bottleneck"),
+            ("jam", "jam:\n  demand_profile_veh_h: [[0, -5]]\n", "jam.demand_profile_veh_h"),
+            (
+                "jam",
+                "jam:\n  demand_profile_veh_h: [[10, 500], [5, 600]]\n",
+                "jam.demand_profile_veh_h",
+            ),
+            ("oracle", "seed: -3\n", "seed"),
+            ("validate", "seed: -3\n", "seed"),
+            ("jam", "seed: -3\n", "seed"),
+            ("oracle --seed -3", "", "seed"),
+            ("validate --seed -3", "", "seed"),
+            ("jam --seed -3", "", "seed"),
         ],
     )
     def test_wrong_kind_refused_before_any_run(
@@ -295,7 +322,7 @@ class TestExitCodes:
         p = tmp_path / "run.yaml"
         p.write_text(config)
         out = tmp_path / "out"
-        assert main([command, "--config", str(p), "--output-dir", str(out)]) == 2
+        assert main([*command.split(), "--config", str(p), "--output-dir", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
         assert not out.exists()

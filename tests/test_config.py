@@ -39,6 +39,9 @@ class TestLoading:
             config.load_config(write(tmp_path, "traffic:\n  time_step: 0.5\n"))
         with pytest.raises(ConfigError, match="traffic.idm.maxaccel"):
             config.load_config(write(tmp_path, "traffic:\n  idm:\n    maxaccel: 2\n"))
+        # the oracle reads its broadcast interval from comms, like its range
+        with pytest.raises(ConfigError, match="'oracle.broadcast_interval_s'"):
+            config.load_config(write(tmp_path, "oracle:\n  broadcast_interval_s: 10\n"))
 
     def test_section_must_be_mapping(self, tmp_path):
         with pytest.raises(ConfigError, match="mapping"):
@@ -149,6 +152,7 @@ class TestValidationCells:
             ("validate:\n  cells:\n    - {lanes: 0}\n", "at least 1"),
             ("validate:\n  cells:\n    - {penetration: 0}\n", r"\(0, 1\]"),
             ("validate:\n  cells:\n    - {penetration: 1.2}\n", r"\(0, 1\]"),
+            ("validate:\n  replicates: 0\n", "replicates must be at least 1"),
         ):
             with pytest.raises(ConfigError, match=msg):
                 config.validation_cells(config.load_config(write(tmp_path, body)), seed=1)
@@ -194,6 +198,10 @@ class TestJamScenario:
             ("jam:\n  bottleneck:\n    direction: 3\n", "direction"),
             ("jam:\n  demand_profile_veh_h: [[0, 1200], [600]]\n", "pairs"),
             ("jam:\n  demand_profile_veh_h: []\n", "pairs"),
+            ("jam:\n  demand_profile_veh_h: [[0, -5]]\n", "jam.demand_profile_veh_h"),
+            ("jam:\n  demand_profile_veh_h: [[10, 500], [5, 600]]\n", "increasing times"),
+            ("jam:\n  bottleneck:\n    extra_headway_s: -1\n", "jam.bottleneck"),
+            ("jam:\n  thresholds:\n    congested_below_kmh: 70\n", "jam.thresholds"),
         ):
             with pytest.raises(ConfigError, match=msg):
                 config.jam_scenario(config.load_config(write(tmp_path, body)), seed=1)
