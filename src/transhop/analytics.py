@@ -61,19 +61,13 @@ def availability_cdf(tau, tc: TrafficConditions, cp: CommParams):
     side of the problem enters: the result is independent of v1 and lambda1.
     Exactly zero below the kinematic limit tau_min = (r_min - 2r) / v2.
 
-    Fixed-range model only; a range-averaged variant of this intermediate
+    Deterministic range only; a range-averaged variant of this intermediate
     stage is deliberately not offered.
     """
-    r = cp.fixed_r
     taus, scalar = _as_array(tau)
-    arg = tc.lambda2 * (2.0 * r + tc.v2 * taus - cp.r_min)
+    arg = tc.lambda2 * (2.0 * cp.r + tc.v2 * taus - cp.r_min)
     out = np.where(arg > 0.0, -np.expm1(-np.maximum(arg, 0.0)), 0.0)
     return _ret(out, scalar)
-
-
-def _delivery_reach(tau, tc, cp, r):
-    """Ground gained past the earliest-delivery geometry: v2 tau - r_min + 2r."""
-    return tc.v2 * tau - cp.r_min + 2.0 * r
 
 
 def delivery_cdf(tau, tc: TrafficConditions, cp: CommParams):
@@ -89,21 +83,20 @@ def delivery_cdf(tau, tc: TrafficConditions, cp: CommParams):
     eps -> 0.  When |eps| is below DEGENERACY_RTOL relative to the larger
     rate, the confluent limit 1 - (1 + lambda2 x) exp(-lambda2 x) is used.
 
-    Fixed-range model only.
+    Deterministic range r; delivery_cdf_distributed is the random-range curve.
     """
-    r = cp.fixed_r
     taus, scalar = _as_array(tau)
     lam2 = tc.lambda2
     lam1e = tc.lambda_tilde1
     eps = lam1e - lam2
-    x = np.maximum(_delivery_reach(taus, tc, cp, r), 0.0)
+    x = np.maximum(tc.v2 * taus - cp.r_min + 2.0 * cp.r, 0.0)
     decay = np.exp(-lam2 * x)
     if abs(eps) <= DEGENERACY_RTOL * max(lam1e, lam2):
         val = -np.expm1(-lam2 * x) - lam2 * x * decay
     else:
         growth = -np.expm1(-eps * x) / eps
         val = -np.expm1(-lam2 * x) - lam2 * growth * decay
-    out = np.where(_delivery_reach(taus, tc, cp, r) > 0.0, np.clip(val, 0.0, 1.0), 0.0)
+    out = np.where(x > 0.0, np.clip(val, 0.0, 1.0), 0.0)
     return _ret(out, scalar)
 
 
@@ -121,9 +114,8 @@ def delivery_cdf_symmetric(tau, lam: float, v: float, cp: CommParams):
         lam: equipped-vehicle density common to both directions (1/m).
         v: speed common to both directions (m/s).
     """
-    r = cp.fixed_r
     taus, scalar = _as_array(tau)
-    arg = lam * (2.0 * r + v * taus - cp.r_min)
+    arg = lam * (2.0 * cp.r + v * taus - cp.r_min)
     base = -np.expm1(-np.maximum(arg, 0.0))
     out = np.where(arg > 0.0, base * base, 0.0)
     return _ret(out, scalar)
@@ -132,16 +124,15 @@ def delivery_cdf_symmetric(tau, lam: float, v: float, cp: CommParams):
 def delivery_cdf_distributed(tau, tc: TrafficConditions, cp: CommParams):
     """Delivery-time distribution with per-message exponential broadcast ranges.
 
-    One range value is drawn per message and reused for both hops, so the
-    result is the range-density-weighted average of the fixed-range delivery
-    curve, evaluated in closed form.  When |lambda_tilde1 - lambda2| is below
-    DEGENERACY_RTOL relative to the larger rate, the bracket takes its limit
+    One range value is drawn per message with mean cp.r (rate
+    lambda_r = 1 / cp.r) and reused for both hops, so the result is the
+    range-density-weighted average of delivery_cdf, evaluated in closed
+    form.  When |lambda_tilde1 - lambda2| is below DEGENERACY_RTOL relative
+    to the larger rate, the bracket takes its limit
     1 - w exp(lambda2 d) (1 + 2 lambda2 / (lambda_r + 2 lambda2) - lambda2 d),
     with d = r_min - v2 tau - 2 r0 and w = lambda_r / (lambda_r + 2 lambda2).
-
-    Requires the exponential range model (use delivery_cdf for fixed ranges).
     """
-    lam_r = cp.range_rate
+    lam_r = 1.0 / cp.r
     taus, scalar = _as_array(tau)
     lam2 = tc.lambda2
     lam1e = tc.lambda_tilde1
@@ -177,8 +168,7 @@ def delivery_time_quantile(q: float, lam: float, v: float, cp: CommParams) -> fl
         raise ValueError("quantile level must lie strictly inside (0, 1)")
     if lam <= 0.0:
         raise ValueError("equipped density must be positive")
-    r = cp.fixed_r
-    return (cp.r_min - 2.0 * r) / v - math.log1p(-math.sqrt(q)) / (lam * v)
+    return (cp.r_min - 2.0 * cp.r) / v - math.log1p(-math.sqrt(q)) / (lam * v)
 
 
 def mean_availability_time(lam: float, v: float, cp: CommParams) -> float:
@@ -188,8 +178,7 @@ def mean_availability_time(lam: float, v: float, cp: CommParams) -> float:
     """
     if lam <= 0.0:
         raise ValueError("expectation diverges for zero equipped density")
-    r = cp.fixed_r
-    return (cp.r_min - 2.0 * r) / v + 1.0 / (lam * v)
+    return (cp.r_min - 2.0 * cp.r) / v + 1.0 / (lam * v)
 
 
 def mean_delivery_time(lam: float, v: float, cp: CommParams) -> float:
@@ -200,8 +189,7 @@ def mean_delivery_time(lam: float, v: float, cp: CommParams) -> float:
     """
     if lam <= 0.0:
         raise ValueError("expectation diverges for zero equipped density")
-    r = cp.fixed_r
-    return (cp.r_min - 2.0 * r) / v + 1.5 / (lam * v)
+    return (cp.r_min - 2.0 * cp.r) / v + 1.5 / (lam * v)
 
 
 def info_speed(lam: float, v: float, cp: CommParams) -> float:
@@ -216,8 +204,7 @@ def info_speed(lam: float, v: float, cp: CommParams) -> float:
 def cdf_function(quantity: str, tc: TrafficConditions, cp: CommParams):
     """Return the cumulative curve for one of P1 | P2 | P3 | P3dist as a callable."""
     if quantity == "P1":
-        r = cp.fixed_r
-        return lambda tau: first_hop_cdf(tau, tc, r)
+        return lambda tau: first_hop_cdf(tau, tc, cp.r)
     if quantity == "P2":
         return lambda tau: availability_cdf(tau, tc, cp)
     if quantity == "P3":
@@ -228,7 +215,7 @@ def cdf_function(quantity: str, tc: TrafficConditions, cp: CommParams):
 
 
 def stage_cdfs(tc: TrafficConditions, cp: CommParams) -> dict:
-    """Fixed-range curves of the three stage times, keyed like the samples."""
+    """Deterministic-range curves of the three stage times, keyed like the samples."""
     return {
         "tau1": cdf_function("P1", tc, cp),
         "tau2": cdf_function("P2", tc, cp),

@@ -25,14 +25,15 @@ from . import analytics, oracle, stats
 from .config import (
     ConfigError,
     analytic_conditions,
+    analytic_sweep,
     comm_params,
     comms_config,
     jam_scenario,
     load_config,
     oracle_conditions,
+    oracle_sweep,
     validation_cells,
 )
-from .params import CommParams
 from .scenarios import evaluate_cell, replicate_cell, run_jam_scenario
 from .traffic.road import CollisionError
 from .units import ms_to_kmh
@@ -88,23 +89,9 @@ def _run_checks(checks) -> int:
 
 
 def cmd_analytic(cfg: dict, out_dir: str, seed: int, check: bool) -> int:
-    a = cfg["analytic"]
-    alphas = [float(x) for x in a["penetrations"]]
-    if not alphas or any(not 0.0 < x <= 1.0 for x in alphas):
-        raise ConfigError("analytic.penetrations must be a list of values in (0, 1]")
-    quantiles = [float(q) for q in a["quantiles"]]
-    if any(not 0.0 < q < 1.0 for q in quantiles):
-        raise ConfigError("analytic.quantiles must lie strictly inside (0, 1)")
-    step = float(a["tau_step_s"])
-    tau_max = float(a["tau_max_s"])
-    if step <= 0.0 or tau_max <= step:
-        raise ConfigError("analytic.tau grid needs tau_step_s > 0 and tau_max_s > step")
-    taus = np.arange(0.0, tau_max + 0.5 * step, step)
-
-    # the distributed-range curve always uses the mean matching the fixed r,
-    # so the two families are comparable point for point
+    alphas, quantiles, taus = analytic_sweep(cfg)
+    # P3dist's random ranges have mean cp.r, so it compares with P3 point for point
     cp = comm_params(cfg)
-    cp_dist = CommParams.exponential(lambda_r=1.0 / cp.fixed_r, r_min=cp.r_min)
 
     table_rows = []
     curve_rows = []
@@ -121,8 +108,8 @@ def cmd_analytic(cfg: dict, out_dir: str, seed: int, check: bool) -> int:
         taus_q = [analytics.delivery_time_quantile(q, lam, v, cp) for q in quantiles]
         vp = ms_to_kmh(analytics.info_speed(lam, v, cp))
         table_rows.append([alpha, mean2, mean3, *taus_q, vp])
-        for quantity, params in (("P1", cp), ("P2", cp), ("P3", cp), ("P3dist", cp_dist)):
-            probs = analytics.cdf_function(quantity, tc, params)(taus)
+        for quantity in analytics.CURVE_QUANTITIES:
+            probs = analytics.cdf_function(quantity, tc, cp)(taus)
             for t, p in zip(taus, probs):
                 curve_rows.append([quantity, alpha, float(t), float(p)])
             max_range = max(max_range, float(-probs.min()), float(probs.max() - 1.0))
@@ -187,15 +174,9 @@ def cmd_analytic(cfg: dict, out_dir: str, seed: int, check: bool) -> int:
 
 
 def cmd_oracle(cfg: dict, out_dir: str, seed: int, check: bool) -> int:
-    o = cfg["oracle"]
-    n = int(o["samples"])
-    if n < 1:
-        raise ConfigError("oracle.samples must be at least 1")
-    alphas = [float(x) for x in o["penetrations"]]
-    if not alphas or any(not 0.0 <= x <= 1.0 for x in alphas):
-        raise ConfigError("oracle.penetrations must be a list of values in [0, 1]")
-    interval = comms_config(cfg).broadcast_interval
-    cp = comm_params(cfg)
+    n, alphas = oracle_sweep(cfg)
+    comm = comms_config(cfg)
+    cp, interval = comm.radio, comm.broadcast_interval
 
     cells = {}
     checks = []
@@ -282,7 +263,6 @@ def cmd_validate(cfg: dict, out_dir: str, seed: int, check: bool) -> int:
     cells = validation_cells(cfg, seed)
     replicates = int(v["replicates"])
     parallel = bool(v["parallel"])
-    cp = comm_params(cfg)
 
     reports = {}
     record_rows = []
@@ -291,7 +271,7 @@ def cmd_validate(cfg: dict, out_dir: str, seed: int, check: bool) -> int:
         result = replicate_cell(cell, replicates, parallel=parallel)
         label = f"lanes={result.lanes},alpha={result.alpha:g}"
         try:
-            ev = evaluate_cell(result, cp)
+            ev = evaluate_cell(result, cell.comm.radio)
         except ValueError as exc:
             raise ConfigError(
                 f"cell {label} has too few samples to compare ({exc}); "

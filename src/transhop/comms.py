@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .params import CommParams
 from .traffic.road import CrossingProbe, TrafficSim
 
 KIND_LANDMARK = "LandmarkTest"
@@ -65,20 +66,18 @@ class JamThresholds:
 class CommsConfig:
     """Radio geometry and message sources.
 
+    The engine reaches the deterministic range radio.r on every hop.
     jam_detection adds the front messages and hands every message to each
     receiver in reach, which the message-age statistic needs.
     """
 
-    broadcast_range: float = 200.0
-    min_distance: float = 1000.0
+    radio: CommParams = CommParams(r=200.0, r_min=1000.0)
     landmark_x: float | None = None
     broadcast_interval: float = 0.0
     jam_detection: bool = False
     jam: JamThresholds = field(default_factory=JamThresholds)
 
     def __post_init__(self):
-        if self.broadcast_range <= 0.0 or self.min_distance <= 0.0:
-            raise ValueError("broadcast_range and min_distance must be positive")
         if self.broadcast_interval < 0.0:
             raise ValueError("broadcast_interval must be non-negative")
 
@@ -243,7 +242,7 @@ class CommsEngine:
         xe2 = x2[eq2][::-1]
         ve2 = vid2[eq2][::-1]
 
-        r = self.cfg.broadcast_range
+        r = self.cfg.radio.r
         interval = self.cfg.broadcast_interval
         for mid, tx in list(self._active.items()):
             msg = tx.msg
@@ -286,8 +285,8 @@ class CommsEngine:
         xe1/ve1 are the equipped direction-1 positions (ascending) and vids.
         """
         msg = tx.msg
-        r = self.cfg.broadcast_range
-        avail_bound = msg.source_position - self.cfg.min_distance
+        r = self.cfg.radio.r
+        avail_bound = msg.source_position - self.cfg.radio.r_min
         if not tx.available and xr <= avail_bound + r:
             tx.tau2 = t_now - msg.creation_time
             self.tau2_samples.append(tx.tau2)

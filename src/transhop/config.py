@@ -8,7 +8,9 @@ are rejected rather than ignored so typos do not silently run a default.
 """
 
 import copy
+from dataclasses import replace
 
+import numpy as np
 import yaml
 
 from .comms import CommsConfig, JamThresholds
@@ -173,10 +175,10 @@ def _positive(value, key):
     return float(value)
 
 
-def _build(section, cls, **kw):
-    """cls(**kw), with the object's own refusal as a ConfigError naming the section."""
+def _build(section, cls, *args, **kw):
+    """cls(*args, **kw), with the object's own refusal as a ConfigError naming the section."""
     try:
-        return cls(**kw)
+        return cls(*args, **kw)
     except ValueError as exc:
         raise ConfigError(f"{section}: {exc}") from exc
 
@@ -185,16 +187,14 @@ def comm_params(cfg: dict) -> CommParams:
     c = cfg["comms"]
     r = _positive(c["broadcast_range_m"], "comms.broadcast_range_m")
     r_min = _positive(c["min_distance_m"], "comms.min_distance_m")
-    return _build("comms", CommParams.fixed, r=r, r_min=r_min)
+    return _build("comms", CommParams, r=r, r_min=r_min)
 
 
 def comms_config(cfg: dict, **overrides) -> CommsConfig:
     c = cfg["comms"]
     jam = cfg["jam"]["thresholds"]
-    cp = comm_params(cfg)
     kwargs = dict(
-        broadcast_range=cp.fixed_r,
-        min_distance=cp.r_min,
+        radio=comm_params(cfg),
         landmark_x=float(c["landmark_x_m"]),
         broadcast_interval=float(c["broadcast_interval_s"]),
         jam=_build(
@@ -258,6 +258,34 @@ def analytic_conditions(cfg: dict, alpha: float) -> TrafficConditions:
 
 def oracle_conditions(cfg: dict, alpha: float) -> TrafficConditions:
     return _conditions(cfg, "oracle", alpha)
+
+
+def analytic_sweep(cfg: dict) -> tuple[list[float], list[float], np.ndarray]:
+    """The `analytic` penetrations, quantile levels and tau grid (s)."""
+    a = cfg["analytic"]
+    alphas = [float(x) for x in a["penetrations"]]
+    if not alphas or any(not 0.0 < x <= 1.0 for x in alphas):
+        raise ConfigError("analytic.penetrations must be a list of values in (0, 1]")
+    quantiles = [float(q) for q in a["quantiles"]]
+    if any(not 0.0 < q < 1.0 for q in quantiles):
+        raise ConfigError("analytic.quantiles must lie strictly inside (0, 1)")
+    step = float(a["tau_step_s"])
+    tau_max = float(a["tau_max_s"])
+    if step <= 0.0 or tau_max <= step:
+        raise ConfigError("analytic.tau grid needs tau_step_s > 0 and tau_max_s > step")
+    return alphas, quantiles, np.arange(0.0, tau_max + 0.5 * step, step)
+
+
+def oracle_sweep(cfg: dict) -> tuple[int, list[float]]:
+    """The `oracle` draw count per penetration, and the penetrations."""
+    o = cfg["oracle"]
+    n = int(o["samples"])
+    if n < 1:
+        raise ConfigError("oracle.samples must be at least 1")
+    alphas = [float(x) for x in o["penetrations"]]
+    if not alphas or any(not 0.0 <= x <= 1.0 for x in alphas):
+        raise ConfigError("oracle.penetrations must be a list of values in [0, 1]")
+    return n, alphas
 
 
 def validation_cells(cfg: dict, seed: int) -> list[CellConfig]:
@@ -332,8 +360,9 @@ def jam_scenario(cfg: dict, seed: int) -> JamConfig:
         cfg,
         equipped_fraction=alpha,
         inflow1=_build("jam.demand_profile_veh_h", InflowProfile, points=points),
-        bottlenecks=(bneck,),
     )
+    # the road refuses a bottleneck past its end; the refusal names the bottleneck
+    road = _build("jam.bottleneck", replace, road, bottlenecks=(bneck,))
     # jam messages come from the fronts only, none from the landmark
     comm = comms_config(cfg, jam_detection=True, landmark_x=None)
     return _build(

@@ -12,6 +12,7 @@ All exponential variates use the inverse CDF, -ln(u) / rate with u in
 
 Geometry (source-relative coordinates, source created at 0):
 
+* the range r is cp.r, or one exponential draw with mean cp.r per message;
 * the relay starts at X2 = -r + Exp(lambda2), closing at v1 + v2;
 * tau1 = max(0, (X2 - r) / (v1 + v2));
 * the relay becomes useful at position -r_min + r, so
@@ -31,7 +32,7 @@ independently and no ordering is asserted.
 
 import numpy as np
 
-from .params import CommParams, ExponentialRange, TrafficConditions
+from .params import CommParams, TrafficConditions
 
 
 def _exp_inverse_cdf(u: np.ndarray, rate: float) -> np.ndarray:
@@ -45,6 +46,7 @@ def sample_arrays(
     cp: CommParams,
     rng_seed: int,
     broadcast_interval: float = 0.0,
+    distributed: bool = False,
 ) -> dict:
     """Draw n message passages and return the stage times as arrays.
 
@@ -56,6 +58,9 @@ def sample_arrays(
             models periodic broadcasting every broadcast_interval seconds:
             each hop waits for the sender's next broadcast slot, adding an
             independent U[0, interval) delay per hop.
+        distributed: False for the range cp.r on every message; True to
+            draw one exponential range with mean cp.r per message, shared
+            by both of its hops.
 
     Returns:
         dict with keys "x2", "r", "tau1", "tau2", "tau3" (float arrays).
@@ -70,7 +75,6 @@ def sample_arrays(
         raise ValueError(
             "zero equipped density in either direction: the passage never terminates"
         )
-    distributed = isinstance(cp.range_model, ExponentialRange)
     periodic = broadcast_interval > 0.0
     cols = 2 + (1 if distributed else 0) + (2 if periodic else 0)
 
@@ -78,10 +82,10 @@ def sample_arrays(
     u = 1.0 - rng.random((n, cols))  # each entry in (0, 1]
     col = 0
     if distributed:
-        r = _exp_inverse_cdf(u[:, col], cp.range_rate)
+        r = _exp_inverse_cdf(u[:, col], 1.0 / cp.r)
         col += 1
     else:
-        r = np.full(n, cp.fixed_r)
+        r = np.full(n, cp.r)
     x2 = -r + _exp_inverse_cdf(u[:, col], lam2)
     col += 1
     receiver_wait = _exp_inverse_cdf(u[:, col], lam1 * (tc.v1 + tc.v2))

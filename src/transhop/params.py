@@ -1,5 +1,7 @@
-"""Parameter types shared by the closed forms, the sampling oracle and the CLI.
+"""Parameter types shared by all three routes and the CLI.
 
+TrafficConditions feeds the closed forms and the oracle; CommParams is the
+one radio model of the closed forms, the oracle and the message engine.
 All quantities are SI: speeds in m/s, densities in 1/m, lengths in m.
 Densities are lane totals per driving direction.
 """
@@ -63,77 +65,35 @@ class TrafficConditions:
 
 
 @dataclass(frozen=True)
-class FixedRange:
-    """Every broadcast reaches exactly the distance r (m)."""
-
-    r: float
-
-    def __post_init__(self):
-        if self.r <= 0.0:
-            raise ValueError("broadcast range must be positive")
-
-
-@dataclass(frozen=True)
-class ExponentialRange:
-    """Broadcast range drawn per message from an exponential distribution.
-
-    The draw is fully correlated across both hops of one message: a single
-    range value applies to the first and the second transversal hop alike.
-
-    Attributes:
-        lambda_r: inverse mean range (1/m).
-    """
-
-    lambda_r: float
-
-    def __post_init__(self):
-        if self.lambda_r <= 0.0:
-            raise ValueError("range rate must be positive")
-
-
-@dataclass(frozen=True)
 class CommParams:
-    """Communication model: range model plus the usefulness distance.
+    """Radio geometry: broadcast range plus the usefulness distance.
+
+    The range has two models, picked by the caller rather than stored here.
+    The deterministic model reaches exactly r.  The stochastic model draws
+    one exponential range per message with mean r, so the two are always
+    compared at the same mean; the draw applies to both hops of the message.
+    The closed forms pick the model by function name (delivery_cdf or
+    delivery_cdf_distributed), the oracle by its `distributed` keyword.
 
     Attributes:
-        range_model: FixedRange or ExponentialRange.
+        r: broadcast range, or its mean under the stochastic model (m).
         r_min: minimum useful transport distance (m); a message counts as
             delivered only to vehicles at least r_min behind its source.
     """
 
-    range_model: "FixedRange | ExponentialRange"
+    r: float
     r_min: float
 
     def __post_init__(self):
+        if self.r <= 0.0:
+            raise ValueError("broadcast range must be positive")
         if self.r_min <= 0.0:
             raise ValueError("minimum useful distance must be positive")
 
-    @classmethod
-    def fixed(cls, r: float, r_min: float) -> "CommParams":
-        return cls(range_model=FixedRange(r), r_min=r_min)
-
-    @classmethod
-    def exponential(cls, lambda_r: float, r_min: float) -> "CommParams":
-        return cls(range_model=ExponentialRange(lambda_r), r_min=r_min)
-
-    @property
-    def fixed_r(self) -> float:
-        """Broadcast range of the fixed-range model (m)."""
-        if not isinstance(self.range_model, FixedRange):
-            raise ValueError("operation requires the fixed-range model")
-        return self.range_model.r
-
-    @property
-    def range_rate(self) -> float:
-        """Inverse mean range of the exponential model (1/m)."""
-        if not isinstance(self.range_model, ExponentialRange):
-            raise ValueError("operation requires exponentially distributed ranges")
-        return self.range_model.lambda_r
-
     def tau_min(self, v2: float) -> float:
-        """Earliest possible delivery time (s), fixed-range model.
+        """Earliest possible delivery time (s), deterministic range.
 
         The relay must cover r_min - 2r of ground before its broadcasts can
         reach vehicles in the destination region; negative if r_min < 2r.
         """
-        return (self.r_min - 2.0 * self.fixed_r) / v2
+        return (self.r_min - 2.0 * self.r) / v2

@@ -19,7 +19,7 @@ from transhop.units import ms_to_kmh
 
 V = 25.0  # 90 km/h
 RHO = 0.03  # 30 veh/km per direction
-CP = CommParams.fixed(200.0, 1000.0)
+CP = CommParams(200.0, 1000.0)
 
 # reference table: per penetration, the printed values of
 # (mean tau2, mean tau3, tau3 p50, tau3 p90, tau3 p95, info speed km/h)
@@ -90,12 +90,12 @@ def test_a2_oracle_matches_curves():
 
 def _mixture_by_quad(tau: float, tc: TrafficConditions, cp: CommParams) -> float:
     """Integrate the fixed-range delivery curve over the range density."""
-    rate = cp.range_rate
+    rate = 1.0 / cp.r
     r_min = cp.r_min
 
     def integrand(r):
         return rate * np.exp(-rate * r) * float(
-            analytics.delivery_cdf(tau, tc, CommParams.fixed(r, r_min))
+            analytics.delivery_cdf(tau, tc, CommParams(r, r_min))
         )
 
     kink = 0.5 * (r_min - tc.v2 * tau)  # fixed curve is nonsmooth in r here
@@ -109,20 +109,18 @@ def _mixture_by_quad(tau: float, tc: TrafficConditions, cp: CommParams) -> float
 
 
 def test_a3_distributed_ranges():
-    cpd = CommParams.exponential(1.0 / 200.0, 1000.0)
-
     worst = 0.0
     for alpha in (0.01, 0.02, 0.05):
         tc = TrafficConditions.symmetric(V, RHO, alpha)
         for tau in (30.0, 60.0, 90.0, 150.0, 250.0, 400.0):
-            want = _mixture_by_quad(tau, tc, cpd)
-            got = float(analytics.delivery_cdf_distributed(tau, tc, cpd))
+            want = _mixture_by_quad(tau, tc, CP)
+            got = float(analytics.delivery_cdf_distributed(tau, tc, CP))
             worst = max(worst, abs(got - want))
 
     tc = TrafficConditions.symmetric(V, RHO, 0.02)
     taus = np.linspace(0.0, 600.0, 1500)
     fixed = analytics.delivery_cdf(taus, tc, CP)
-    dist = analytics.delivery_cdf_distributed(taus, tc, cpd)
+    dist = analytics.delivery_cdf_distributed(taus, tc, CP)
     diff = dist - fixed
     live = np.flatnonzero(np.abs(diff) > 1e-12)
     signs = np.sign(diff[live])
@@ -183,7 +181,7 @@ def test_a4_curve_identities():
         r = rng.uniform(50.0, 450.0)
         r_min = rng.uniform(2.2 * r, 5000.0)
         tcr = TrafficConditions(v1=v1, v2=v2, rho1=rho1, rho2=rho2, alpha=alpha)
-        cpr = CommParams.fixed(r, r_min)
+        cpr = CommParams(r, r_min)
         rate = tcr.lambda2 * v2
         hi = cpr.tau_min(v2) + 8.0 / rate + 8.0 / (tcr.lambda1 * (v1 + v2))
         grid = np.linspace(0.0, hi, 60)
@@ -193,11 +191,7 @@ def test_a4_curve_identities():
             analytics.delivery_cdf(grid, tcr, cpr),
         ]
         if k < 300:
-            curves.append(
-                analytics.delivery_cdf_distributed(
-                    grid, tcr, CommParams.exponential(1.0 / r, r_min)
-                )
-            )
+            curves.append(analytics.delivery_cdf_distributed(grid, tcr, cpr))
         for c in curves:
             c = np.asarray(c)
             if c.min() < -1e-12 or c.max() > 1.0 + 1e-12 or np.min(np.diff(c)) < -1e-12:

@@ -5,7 +5,7 @@ from scipy import integrate
 from transhop import analytics
 from transhop.params import CommParams, TrafficConditions
 
-COMM = CommParams.fixed(r=200.0, r_min=1000.0)
+COMM = CommParams(r=200.0, r_min=1000.0)
 
 
 def symmetric(alpha: float) -> TrafficConditions:
@@ -150,14 +150,12 @@ class TestStructure:
 
 
 class TestDistributedRanges:
-    CP_DIST = CommParams.exponential(lambda_r=1.0 / 200.0, r_min=1000.0)
-
     def test_matches_quadrature(self):
-        lam_r = self.CP_DIST.range_rate
+        lam_r = 1.0 / COMM.r
 
         def by_quadrature(tau, tc):
             def integrand(r0):
-                inner = CommParams.fixed(r0, 1000.0)
+                inner = CommParams(r0, 1000.0)
                 return lam_r * np.exp(-lam_r * r0) * analytics.delivery_cdf(tau, tc, inner)
 
             kink = 0.5 * (1000.0 - tc.v2 * tau)
@@ -170,21 +168,17 @@ class TestDistributedRanges:
 
         for tc in (symmetric(0.05), degenerate()):
             for tau in (5.0, 20.0, 40.0, 80.0, 160.0, 320.0):
-                closed = analytics.delivery_cdf_distributed(tau, tc, self.CP_DIST)
+                closed = analytics.delivery_cdf_distributed(tau, tc, COMM)
                 assert closed == pytest.approx(by_quadrature(tau, tc), abs=1e-10)
 
     def test_continuous_across_the_degenerate_branch(self):
         taus = np.array([5.0, 20.0, 40.0, 80.0, 160.0, 320.0])
         tc = degenerate()
         assert abs(tc.lambda_tilde1 / tc.lambda2 - 1.0) < analytics.DEGENERACY_RTOL
-        limit = analytics.delivery_cdf_distributed(taus, tc, self.CP_DIST)
+        limit = analytics.delivery_cdf_distributed(taus, tc, COMM)
         for rel_eps in (-1e-6, 1e-6):
-            near = analytics.delivery_cdf_distributed(taus, degenerate(rel_eps), self.CP_DIST)
+            near = analytics.delivery_cdf_distributed(taus, degenerate(rel_eps), COMM)
             assert np.abs(near - limit).max() < 1e-6
-
-    def test_fixed_model_rejected(self):
-        with pytest.raises(ValueError):
-            analytics.delivery_cdf_distributed(50.0, symmetric(0.05), COMM)
 
 
 class TestCurves:
@@ -192,16 +186,10 @@ class TestCurves:
         taus = np.linspace(0.0, 600.0, 61)
         tc = symmetric(0.05)
         for quantity in analytics.CURVE_QUANTITIES:
-            probs = analytics.cdf_function(quantity, tc, self.cp_for(quantity))(taus)
+            probs = analytics.cdf_function(quantity, tc, COMM)(taus)
             assert probs.shape == taus.shape
             assert np.all((probs >= 0.0) & (probs <= 1.0))
             assert np.all(np.diff(probs) >= -1e-12)
-
-    @staticmethod
-    def cp_for(quantity):
-        if quantity == "P3dist":
-            return CommParams.exponential(lambda_r=1.0 / 200.0, r_min=1000.0)
-        return COMM
 
     def test_unknown_quantity(self):
         with pytest.raises(ValueError, match="P9"):

@@ -15,6 +15,7 @@ from transhop.comms import (
     message_age_at_distance,
     update_jam_state,
 )
+from transhop.params import CommParams
 from transhop.traffic.road import InflowProfile, RoadConfig, TrafficSim, detector_reading
 
 V = 25.0  # everyone drives 25 m/s in the hand-built scenes
@@ -46,9 +47,9 @@ def drive(sim, engine, duration):
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            CommsConfig(broadcast_range=0.0)
+            CommParams(r=0.0, r_min=1000.0)
         with pytest.raises(ValueError):
-            CommsConfig(min_distance=-1.0)
+            CommParams(r=200.0, r_min=-1.0)
         with pytest.raises(ValueError):
             CommsConfig(broadcast_interval=-0.1)
         with pytest.raises(ValueError):

@@ -59,9 +59,9 @@ class TestLoading:
 
 
 class TestCommSide:
-    def test_fixed_params(self):
+    def test_radio_params(self):
         cp = config.comm_params(config.load_config(None))
-        assert cp.fixed_r == 200.0
+        assert cp.r == 200.0
         assert cp.r_min == 1000.0
 
     def test_range_model_key_is_unknown(self, tmp_path):
@@ -76,8 +76,7 @@ class TestCommSide:
 
     def test_engine_config_units(self):
         cc = config.comms_config(config.load_config(None))
-        assert cc.broadcast_range == 200.0
-        assert cc.min_distance == 1000.0
+        assert cc.radio == config.comm_params(config.load_config(None))
         assert cc.jam.v_congested == pytest.approx(30.0 / 3.6)
         assert cc.jam.v_free == pytest.approx(60.0 / 3.6)
         assert config.comms_config(config.load_config(None), jam_detection=True).jam_detection
@@ -202,6 +201,8 @@ class TestJamScenario:
             ("jam:\n  demand_profile_veh_h: [[10, 500], [5, 600]]\n", "increasing times"),
             ("jam:\n  bottleneck:\n    extra_headway_s: -1\n", "jam.bottleneck"),
             ("jam:\n  thresholds:\n    congested_below_kmh: 70\n", "jam.thresholds"),
+            # past the road end it would never act; the message names the bottleneck
+            ("jam:\n  bottleneck:\n    position_m: 30000\n", "jam.bottleneck: a bottleneck"),
         ):
             with pytest.raises(ConfigError, match=msg):
                 config.jam_scenario(config.load_config(write(tmp_path, body)), seed=1)

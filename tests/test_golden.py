@@ -14,7 +14,9 @@ import hashlib
 import numpy as np
 import pytest
 
+from transhop import oracle
 from transhop.cli import main
+from transhop.params import CommParams, TrafficConditions
 from transhop.traffic.road import InflowProfile, RoadConfig, TrafficSim
 
 VALIDATE = """\
@@ -57,6 +59,13 @@ GOLDEN = {
 }
 
 THREE_LANE = "2424b2aa6b30d7d9738a54ed95872633106dba8008dc986cdbf9dd73f8da34e5"
+
+# Oracle draws with exponential ranges (mean 200 m), keyed by broadcast interval.
+# The golden analytic digests pin the P3dist curve; these pin the draws.
+DISTRIBUTED_ORACLE = {
+    0.0: "1ee4de44881d6d5a293f075de013d365f0c7998ed1468dbe32b56bdd9e2a57d1",
+    10.0: "b1be3d8a3e43466c01b235519c4ce20b98272faa9e0b063c9ffa32aadaa96b4f",
+}
 
 # The 900-s jam run delivers nothing, so its jam_records.csv digest pins only
 # the header.  By 1200 s messages of both kinds have been delivered; these
@@ -112,3 +121,16 @@ def three_lane_digest() -> str:
 
 def test_three_lane_state_matches_golden():
     assert three_lane_digest() == THREE_LANE
+
+
+@pytest.mark.parametrize("interval", sorted(DISTRIBUTED_ORACLE))
+def test_distributed_oracle_draws_match_golden(interval):
+    tc = TrafficConditions(v1=20.0, v2=30.0, rho1=0.02, rho2=0.035, alpha=0.07)
+    arrs = oracle.sample_arrays(
+        2000, tc, CommParams(200.0, 1000.0), rng_seed=20260816,
+        broadcast_interval=interval, distributed=True,
+    )
+    h = hashlib.sha256()
+    for key in ("x2", "r", "tau1", "tau2", "tau3"):
+        h.update(np.ascontiguousarray(arrs[key], dtype="<f8").tobytes())
+    assert h.hexdigest() == DISTRIBUTED_ORACLE[interval]

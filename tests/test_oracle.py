@@ -1,10 +1,13 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
 from transhop import analytics, oracle, stats
 from transhop.params import CommParams, TrafficConditions
 
-COMM = CommParams.fixed(r=200.0, r_min=1000.0)
+COMM = CommParams(r=200.0, r_min=1000.0)
 SYM = TrafficConditions.symmetric(v=25.0, rho=0.03, alpha=0.05)
 ASYM = TrafficConditions(v1=20.0, v2=30.0, rho1=0.02, rho2=0.035, alpha=0.07)
 
@@ -23,11 +26,10 @@ def test_deterministic_under_seed():
 
 
 def test_first_row_of_batch_is_single_draw():
-    ranged = CommParams.exponential(lambda_r=1.0 / 200.0, r_min=1000.0)
-    for cp, interval in ((COMM, 0.0), (ranged, 10.0)):
-        kw = dict(rng_seed=9, broadcast_interval=interval)
-        batch = oracle.sample_arrays(4, ASYM, cp, **kw)
-        single = oracle.sample_arrays(1, ASYM, cp, **kw)
+    for distributed, interval in ((False, 0.0), (True, 10.0)):
+        kw = dict(rng_seed=9, broadcast_interval=interval, distributed=distributed)
+        batch = oracle.sample_arrays(4, ASYM, COMM, **kw)
+        single = oracle.sample_arrays(1, ASYM, COMM, **kw)
         for key in ("x2", "r", "tau1", "tau2", "tau3"):
             assert batch[key][0] == single[key][0]
             assert batch[key].shape == (4,)
@@ -48,7 +50,7 @@ def test_matches_closed_forms():
     bound = 1.63 / np.sqrt(n)  # far beyond sampling noise at this n
     for seed, tc in ((1, SYM), (2, ASYM)):
         arrs = oracle.sample_arrays(n, tc, COMM, rng_seed=seed)
-        r = COMM.fixed_r
+        r = COMM.r
         assert ks_against(arrs["tau1"], lambda t: analytics.first_hop_cdf(t, tc, r)) < bound
         assert ks_against(arrs["tau2"], lambda t: analytics.availability_cdf(t, tc, COMM)) < bound
         assert ks_against(arrs["tau3"], lambda t: analytics.delivery_cdf(t, tc, COMM)) < bound
@@ -72,7 +74,7 @@ def test_availability_blind_to_direction1():
 def test_relay_start_positions():
     arrs = oracle.sample_arrays(30000, SYM, COMM, rng_seed=8)
     x2 = arrs["x2"]
-    assert np.all(x2 >= -COMM.fixed_r)
+    assert np.all(x2 >= -COMM.r)
     lam2 = SYM.lambda2
     cdf = lambda x: -np.expm1(-lam2 * (np.maximum(x, -200.0) + 200.0))
     assert ks_against(x2, cdf) < 1.63 / np.sqrt(x2.size)
@@ -95,12 +97,11 @@ def test_argument_validation():
 
 
 def test_exponential_ranges():
-    cp = CommParams.exponential(lambda_r=1.0 / 200.0, r_min=1000.0)
     n = 30000
-    arrs = oracle.sample_arrays(n, SYM, cp, rng_seed=13)
-    # drawn ranges are exponential and reused for both hops of a message
+    arrs = oracle.sample_arrays(n, SYM, COMM, rng_seed=13, distributed=True)
+    # drawn ranges are exponential with mean r and reused for both hops of a message
     assert ks_against(arrs["r"], lambda r: -np.expm1(-np.maximum(r, 0.0) / 200.0)) < 1.63 / np.sqrt(n)
-    cdf = lambda t: analytics.delivery_cdf_distributed(t, SYM, cp)
+    cdf = lambda t: analytics.delivery_cdf_distributed(t, SYM, COMM)
     assert ks_against(arrs["tau3"], cdf) < 1.63 / np.sqrt(n)
 
 
@@ -112,3 +113,17 @@ def test_periodic_broadcast_shifts_median():
     assert shift == pytest.approx(interval, abs=3.0)
     # and the periodic samples stochastically dominate the continuous ones
     assert float(np.median(peri["tau1"])) >= float(np.median(cont["tau1"]))
+
+
+def test_shares_no_code_with_the_closed_forms():
+    # the oracle cross-checks analytics only while it imports none of its formulas
+    tree = ast.parse(inspect.getsource(oracle))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {f"{'.' * node.level}{node.module}.{alias.name}" for alias in node.names}
+    assert imported and all(
+        name == "numpy" or name.startswith(".params.") for name in imported
+    ), imported
