@@ -33,7 +33,7 @@ def _ret(arr, scalar):
     return float(arr) if scalar else arr
 
 
-def first_hop_cdf(tau, tc: TrafficConditions, r: float):
+def first_hop_cdf(tau, tc: TrafficConditions, cp: CommParams):
     """Probability that the message has reached some relay by time tau.
 
     Source and candidate relays close in on each other at v1 + v2, so the
@@ -42,14 +42,12 @@ def first_hop_cdf(tau, tc: TrafficConditions, r: float):
     Args:
         tau: time since message creation (s), >= 0, scalar or array.
         tc: traffic conditions.
-        r: broadcast range (m).
+        cp: radio geometry; only the broadcast range r enters.
     """
-    if r <= 0.0:
-        raise ValueError("broadcast range must be positive")
     taus, scalar = _as_array(tau)
     if np.any(taus < 0.0):
         raise ValueError("tau must be non-negative")
-    out = -np.expm1(-tc.lambda2 * (2.0 * r + (tc.v1 + tc.v2) * taus))
+    out = -np.expm1(-tc.lambda2 * (2.0 * cp.r + (tc.v1 + tc.v2) * taus))
     return _ret(out, scalar)
 
 
@@ -204,7 +202,7 @@ def info_speed(lam: float, v: float, cp: CommParams) -> float:
 def cdf_function(quantity: str, tc: TrafficConditions, cp: CommParams):
     """Return the cumulative curve for one of P1 | P2 | P3 | P3dist as a callable."""
     if quantity == "P1":
-        return lambda tau: first_hop_cdf(tau, tc, cp.r)
+        return lambda tau: first_hop_cdf(tau, tc, cp)
     if quantity == "P2":
         return lambda tau: availability_cdf(tau, tc, cp)
     if quantity == "P3":

@@ -192,6 +192,7 @@ def cmd_oracle(cfg: dict, out_dir: str, seed: int, check: bool) -> int:
             checks.append((f"alpha={key} deliverable", False, str(exc)))
             continue
         samples = {name: arrs[name] for name in ("tau1", "tau2", "tau3")}
+        del arrs  # x2 and r are not reported; free them before the report
         if interval == 0.0:
             report = stats.comparison_report(samples, analytics.stage_cdfs(tc, cp))
             cells[key] = report

@@ -33,14 +33,55 @@ class EmpiricalDistribution:
 
 
 def quantile(dist: EmpiricalDistribution, q):
-    """Linear-interpolation sample quantile(s) for q in [0, 1]."""
+    """Linear-interpolation sample quantile(s) for q in [0, 1].
+
+    numpy's default method read straight off the sorted samples: the order
+    statistics either side of (n - 1) q, mixed with numpy's own two-branch
+    interpolation, so the value is bit-identical to np.quantile without its
+    partition of a fresh copy per call.
+    """
     qs = np.asarray(q, dtype=float)
-    if np.any(qs < 0.0) or np.any(qs > 1.0):
+    if not np.all((qs >= 0.0) & (qs <= 1.0)):
         raise ValueError("quantile levels must lie in [0, 1]")
-    vals = np.quantile(dist.samples, qs)
+    s = dist.samples
+    h = (dist.n - 1) * qs
+    lo = np.floor(h)
+    t = h - lo
+    lo = lo.astype(np.intp)
+    a, b = s[lo], s[np.minimum(lo + 1, dist.n - 1)]
+    d = b - a
+    vals = np.where(t >= 0.5, b - d * (1.0 - t), a + d * t)
     if np.isscalar(q) or qs.ndim == 0:
         return float(vals)
     return vals
+
+
+def _runs(s: np.ndarray) -> np.ndarray:
+    """Run boundaries of the sorted array s: run j is s[edges[j]:edges[j + 1]].
+
+    One comparison pass over neighbours, so the distinct values come out
+    without sorting again.
+    """
+    new = np.empty(s.size + 1, dtype=bool)
+    new[0] = new[-1] = True
+    np.not_equal(s[1:], s[:-1], out=new[1:-1])
+    return np.flatnonzero(new)
+
+
+def _ks(s: np.ndarray, edges: np.ndarray, f: np.ndarray) -> float:
+    """Largest one-sided gap between the empirical step function of s and
+    the model values f at its distinct values s[edges[:-1]]."""
+    n = s.size
+    gap = edges[1:] / n  # empirical CDF at each distinct value
+    np.subtract(f, gap, out=gap)
+    np.abs(gap, out=gap)
+    gap_at = gap.max()
+    np.divide(edges[:-1], n, out=gap)  # ... and just below it
+    np.subtract(f, gap, out=gap)
+    if s[0] == 0.0:
+        gap[0] = 0.0
+    np.abs(gap, out=gap)
+    return float(max(gap_at, gap.max()))
 
 
 def ks_distance(dist: EmpiricalDistribution, cdf) -> float:
@@ -54,16 +95,8 @@ def ks_distance(dist: EmpiricalDistribution, cdf) -> float:
     model's left limit at zero is taken as zero.
     """
     s = dist.samples
-    n = dist.n
-    u, counts = np.unique(s, return_counts=True)
-    c = np.cumsum(counts)
-    f = np.asarray(cdf(u), dtype=float)
-    gap_at = np.abs(f - c / n)
-    f_left = f.copy()
-    if u[0] == 0.0:
-        f_left[0] = 0.0
-    gap_below = np.abs(f_left - (c - counts) / n)
-    return float(max(gap_at.max(), gap_below.max()))
+    edges = _runs(s)
+    return _ks(s, edges, np.asarray(cdf(s[edges[:-1]]), dtype=float))
 
 
 def uncertainty_from_cumulatives(observed, reference) -> float:
@@ -86,6 +119,21 @@ def uncertainty_from_cumulatives(observed, reference) -> float:
     return float(np.sum((x - xhat) ** 2) / denom)
 
 
+def _window(dist: EmpiricalDistribution, upper_tau: float) -> int:
+    """Number of samples at or below upper_tau; at least two, or refused."""
+    k = int(np.searchsorted(dist.samples, upper_tau, side="right"))
+    if k < 2:
+        raise ValueError("fewer than two samples at or below the comparison bound")
+    return k
+
+
+def _uncertainty(dist: EmpiricalDistribution, xhat: np.ndarray) -> float:
+    """Cumulative-curve mismatch of the first xhat.size order statistics,
+    given the model CDF at each of them."""
+    x = np.arange(1, xhat.size + 1, dtype=float) / dist.n
+    return uncertainty_from_cumulatives(x, xhat)
+
+
 def uncertainty_measure(dist: EmpiricalDistribution, cdf, upper_tau: float) -> float:
     """Cumulative-curve mismatch between the sample and a model CDF.
 
@@ -94,14 +142,8 @@ def uncertainty_measure(dist: EmpiricalDistribution, cdf, upper_tau: float) -> f
     cumulative value at the i-th order statistic is i / n with n the full
     sample count, matched against the model CDF at that point.
     """
-    s = dist.samples
-    k = int(np.searchsorted(s, upper_tau, side="right"))
-    if k < 2:
-        raise ValueError("fewer than two samples at or below the comparison bound")
-    t = s[:k]
-    x = np.arange(1, k + 1, dtype=float) / dist.n
-    xhat = np.asarray(cdf(t), dtype=float)
-    return uncertainty_from_cumulatives(x, xhat)
+    k = _window(dist, upper_tau)
+    return _uncertainty(dist, np.asarray(cdf(dist.samples[:k]), dtype=float))
 
 
 def invert_cdf(cdf, q: float, lo: float = 0.0) -> float:
@@ -124,6 +166,31 @@ def invert_cdf(cdf, q: float, lo: float = 0.0) -> float:
     return float(brentq(lambda t: float(cdf(t)) - q, lo, hi, xtol=1e-9, rtol=1e-13))
 
 
+def _compare(values, cdf, quantile_levels) -> dict:
+    """One comparison_report entry: a single sort of the samples and a single
+    model evaluation per distinct value serve U, KS and the quantiles."""
+    dist = EmpiricalDistribution.from_samples(values)
+    s = dist.samples
+    q95 = invert_cdf(cdf, 0.95)
+    k = _window(dist, q95)
+    edges = _runs(s)
+    f = np.asarray(cdf(s[edges[:-1]]), dtype=float)
+    ks = _ks(s, edges, f)
+    # the window ends on a run boundary, so U's model values are f repeated
+    # over the runs before it
+    j = int(np.searchsorted(edges, k))
+    xhat = np.repeat(f[:j], np.diff(edges[: j + 1]))
+    del edges, f  # free the per-run arrays before U builds its own
+    return {
+        "n": dist.n,
+        "U": _uncertainty(dist, xhat),
+        "KS": ks,
+        "model_q95": q95,
+        "quantiles": {f"{q:g}": quantile(dist, q) for q in quantile_levels},
+        "model_quantiles": {f"{q:g}": invert_cdf(cdf, q) for q in quantile_levels},
+    }
+
+
 def comparison_report(samples: dict, cdfs: dict, quantile_levels=(0.5, 0.9, 0.95)) -> dict:
     """Per-quantity comparison of sample sets against model CDFs.
 
@@ -138,20 +205,7 @@ def comparison_report(samples: dict, cdfs: dict, quantile_levels=(0.5, 0.9, 0.95
     """
     report = {}
     for name, values in samples.items():
-        cdf = cdfs[name]
-        dist = EmpiricalDistribution.from_samples(values)
-        q95 = invert_cdf(cdf, 0.95)
-        entry = {
-            "n": dist.n,
-            "U": uncertainty_measure(dist, cdf, q95),
-            "KS": ks_distance(dist, cdf),
-            "model_q95": q95,
-            "quantiles": {},
-            "model_quantiles": {},
-        }
-        for q in quantile_levels:
-            entry["quantiles"][f"{q:g}"] = quantile(dist, q)
-            entry["model_quantiles"][f"{q:g}"] = invert_cdf(cdf, q)
+        entry = _compare(values, cdfs[name], quantile_levels)
         if not math.isfinite(entry["U"]):
             raise ValueError(f"non-finite uncertainty for {name}")
         report[name] = entry

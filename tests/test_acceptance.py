@@ -186,7 +186,7 @@ def test_a4_curve_identities():
         hi = cpr.tau_min(v2) + 8.0 / rate + 8.0 / (tcr.lambda1 * (v1 + v2))
         grid = np.linspace(0.0, hi, 60)
         curves = [
-            analytics.first_hop_cdf(grid, tcr, r),
+            analytics.first_hop_cdf(grid, tcr, cpr),
             analytics.availability_cdf(grid, tcr, cpr),
             analytics.delivery_cdf(grid, tcr, cpr),
         ]

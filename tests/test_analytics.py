@@ -23,7 +23,7 @@ class TestFrozenValues:
     """Reference numbers computed independently and pinned."""
 
     def test_first_hop_at_zero(self):
-        got = analytics.first_hop_cdf(0.0, symmetric(0.02), 200.0)
+        got = analytics.first_hop_cdf(0.0, symmetric(0.02), COMM)
         assert got == pytest.approx(0.2133721389334466, rel=1e-12)
 
     def test_availability(self):
@@ -68,8 +68,8 @@ class TestStructure:
         a = TrafficConditions(v1=20.0, v2=25.0, rho1=0.01, rho2=0.03, alpha=0.05)
         b = TrafficConditions(v1=20.0, v2=25.0, rho1=0.08, rho2=0.03, alpha=0.05)
         assert np.array_equal(
-            analytics.first_hop_cdf(taus, a, 200.0),
-            analytics.first_hop_cdf(taus, b, 200.0),
+            analytics.first_hop_cdf(taus, a, COMM),
+            analytics.first_hop_cdf(taus, b, COMM),
         )
 
     def test_availability_independent_of_direction1(self):
@@ -199,11 +199,11 @@ class TestCurves:
 class TestErrors:
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
-            analytics.first_hop_cdf(-1.0, symmetric(0.05), 200.0)
+            analytics.first_hop_cdf(-1.0, symmetric(0.05), COMM)
 
     def test_nonpositive_range_rejected(self):
-        with pytest.raises(ValueError):
-            analytics.first_hop_cdf(1.0, symmetric(0.05), 0.0)
+        with pytest.raises(ValueError, match="broadcast range"):
+            analytics.first_hop_cdf(1.0, symmetric(0.05), CommParams(0.0, 1000.0))
 
     def test_quantile_level_bounds(self):
         lam = symmetric(0.05).lambda2

@@ -50,8 +50,7 @@ def test_matches_closed_forms():
     bound = 1.63 / np.sqrt(n)  # far beyond sampling noise at this n
     for seed, tc in ((1, SYM), (2, ASYM)):
         arrs = oracle.sample_arrays(n, tc, COMM, rng_seed=seed)
-        r = COMM.r
-        assert ks_against(arrs["tau1"], lambda t: analytics.first_hop_cdf(t, tc, r)) < bound
+        assert ks_against(arrs["tau1"], lambda t: analytics.first_hop_cdf(t, tc, COMM)) < bound
         assert ks_against(arrs["tau2"], lambda t: analytics.availability_cdf(t, tc, COMM)) < bound
         assert ks_against(arrs["tau3"], lambda t: analytics.delivery_cdf(t, tc, COMM)) < bound
 

@@ -11,6 +11,34 @@ def dist(values):
     return stats.EmpiricalDistribution.from_samples(values)
 
 
+SIZES = (1, 2, 3, 10, 1001)
+
+
+def tied_samples(n: int) -> np.ndarray:
+    """Seeded samples rounded to 0.1, so values repeat, with about 30% of
+    them exactly zero, like hop times whose relay is already in range."""
+    rng = np.random.default_rng(3)
+    x = np.round(rng.exponential(2.0, size=n), 1)
+    x[rng.random(n) < 0.3] = 0.0
+    return x
+
+
+def tied_cdf(t):
+    """The law of tied_samples before rounding: an atom of 0.3 at zero."""
+    return 0.3 + 0.7 * -np.expm1(-np.asarray(t, dtype=float) / 2.0)
+
+
+def ks_reference(d, cdf) -> float:
+    """KS distance over np.unique's distinct values and counts."""
+    u, counts = np.unique(d.samples, return_counts=True)
+    c = np.cumsum(counts)
+    f = np.asarray(cdf(u), dtype=float)
+    f_left = f.copy()
+    if u[0] == 0.0:
+        f_left[0] = 0.0
+    return float(max(np.abs(f - c / d.n).max(), np.abs(f_left - (c - counts) / d.n).max()))
+
+
 class TestEmpiricalDistribution:
     def test_sorts_and_counts(self):
         d = dist([3.0, 1.0, 2.0])
@@ -36,6 +64,18 @@ class TestQuantile:
             stats.quantile(d, 1.0001)
         with pytest.raises(ValueError):
             stats.quantile(d, [-0.2, 0.5])
+        with pytest.raises(ValueError):
+            stats.quantile(d, float("nan"))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_bit_identical_to_numpy(self, n):
+        d = dist(tied_samples(n))
+        levels = (0.0, 0.1, 0.5, 0.9, 0.95, 1.0)
+        for q in levels:
+            got = stats.quantile(d, q)
+            assert type(got) is float
+            assert got == np.quantile(d.samples, q)
+        assert np.array_equal(stats.quantile(d, levels), np.quantile(d.samples, levels))
 
 
 class TestKsDistance:
@@ -51,6 +91,11 @@ class TestKsDistance:
         d = dist([0.0, 0.0, 1.0])
         cdf = lambda t: np.clip(0.5 + 0.25 * np.asarray(t, dtype=float), 0.0, 1.0)
         assert stats.ks_distance(d, cdf) == pytest.approx(0.25, abs=1e-15)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_equals_the_unique_count_reference(self, n):
+        d = dist(tied_samples(n))
+        assert stats.ks_distance(d, tied_cdf) == ks_reference(d, tied_cdf)
 
     def test_hand_value_continuous(self):
         # uniform model, samples at the quartiles: every one-sided gap is 0.25
@@ -129,6 +174,30 @@ class TestComparisonReport:
         assert entry["model_q95"] == pytest.approx(10.0 * math.log(20.0), abs=1e-6)
         assert entry["U"] < 0.01
         assert entry["KS"] < 1.63 / math.sqrt(4000)
+
+    @pytest.mark.parametrize("n", SIZES[1:])
+    def test_equals_the_statistics_called_alone(self, n):
+        x = tied_samples(n)
+        entry = stats.comparison_report({"t": x}, {"t": tied_cdf})["t"]
+        d = dist(x)
+        q95 = stats.invert_cdf(tied_cdf, 0.95)
+        assert entry["model_q95"] == q95 == entry["model_quantiles"]["0.95"]
+        assert entry["U"] == stats.uncertainty_measure(d, tied_cdf, q95)
+        assert entry["KS"] == stats.ks_distance(d, tied_cdf)
+        assert entry["quantiles"]["0.9"] == np.quantile(x, 0.9)
+
+    def test_refusals(self):
+        half = lambda t: np.clip(np.asarray(t, dtype=float) / 2.0, 0.0, 1.0)
+        # model q95 = 1.9: one sample of the three lies in the U window
+        with pytest.raises(ValueError, match="fewer than two samples"):
+            stats.comparison_report({"a": [1.0, 2.0, 3.0]}, {"a": half})
+        with pytest.raises(ValueError, match="fewer than two samples"):
+            stats.comparison_report({"a": [0.0]}, {"a": tied_cdf})
+        with pytest.raises(ValueError, match="empty"):
+            stats.comparison_report({"a": []}, {"a": half})
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                stats.comparison_report({"a": [1.0, 1.5, bad]}, {"a": half})
 
     def test_missing_cdf_is_an_error(self):
         with pytest.raises(KeyError):
