@@ -210,7 +210,12 @@ def cmd_oracle(cfg: dict, out_dir: str, seed: int, check: bool) -> int:
             # apply, report the tau3 median shift against them instead
             lam, v = tc.lambda2, tc.v2
             cont_median = analytics.delivery_time_quantile(0.5, lam, v, cp)
-            med = float(np.median(samples["tau3"]))
+            # one sort per set serves the median and every quantile
+            dists = {
+                name: stats.EmpiricalDistribution.from_samples(samples.pop(name))
+                for name in ("tau1", "tau2", "tau3")
+            }
+            med = stats.median(dists["tau3"])
             shift = med - cont_median
             cells[key] = {
                 "periodic": True,
@@ -220,11 +225,8 @@ def cmd_oracle(cfg: dict, out_dir: str, seed: int, check: bool) -> int:
                 "continuous_tau3_median_s": cont_median,
                 "median_shift_s": shift,
                 "quantiles": {
-                    name: {
-                        f"{q:g}": float(np.quantile(vals, q))
-                        for q in (0.5, 0.9, 0.95)
-                    }
-                    for name, vals in samples.items()
+                    name: {f"{q:g}": stats.quantile(d, q) for q in (0.5, 0.9, 0.95)}
+                    for name, d in dists.items()
                 },
             }
             checks.append(

@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 
 @dataclass(frozen=True)
@@ -54,6 +53,15 @@ def quantile(dist: EmpiricalDistribution, q):
     if np.isscalar(q) or qs.ndim == 0:
         return float(vals)
     return vals
+
+
+def median(dist: EmpiricalDistribution) -> float:
+    """Sample median read off the sorted samples, bit-identical to np.median:
+    the middle order statistic, or the mean of the two middle ones."""
+    s, m = dist.samples, dist.n // 2
+    if dist.n % 2:
+        return float(s[m])
+    return float((s[m - 1] + s[m]) / 2)
 
 
 def _runs(s: np.ndarray) -> np.ndarray:
@@ -146,6 +154,64 @@ def uncertainty_measure(dist: EmpiricalDistribution, cdf, upper_tau: float) -> f
     return _uncertainty(dist, np.asarray(cdf(dist.samples[:k]), dtype=float))
 
 
+def _brentq(f, xpre: float, xcur: float, fpre: float, fcur: float,
+            xtol: float, rtol: float) -> float:
+    """Root of f in [xpre, xcur] by Brent's method, given f at both ends.
+
+    A line-by-line port of SciPy's brentq (optimize/Zeros/brentq.c): the
+    same float operations in the same order, so it returns the same float.
+    Like brentq it refuses a NaN value of f and gives up after 100
+    iterations.
+    """
+    for x, fx in ((xpre, fpre), (xcur, fcur)):
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x:.6g} is NaN")
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    # f is neither zero nor NaN here, so `< 0.0` reads as C's signbit
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise ValueError(f"the function value at x={xcur:.6g} is NaN")
+    raise RuntimeError(f"failed to converge after 100 iterations, value is {xcur}")
+
+
 def invert_cdf(cdf, q: float, lo: float = 0.0) -> float:
     """Smallest tau at or above lo with cdf(tau) >= q, by bracketed root find.
 
@@ -154,16 +220,20 @@ def invert_cdf(cdf, q: float, lo: float = 0.0) -> float:
     """
     if not 0.0 < q < 1.0:
         raise ValueError("quantile level must lie strictly between 0 and 1")
-    if float(cdf(lo)) >= q:
+    f_lo = float(cdf(lo))
+    if f_lo >= q:
         return float(lo)
     hi = max(1.0, 2.0 * abs(lo))
     for _ in range(200):
-        if float(cdf(hi)) >= q:
+        f_hi = float(cdf(hi))
+        if f_hi >= q:
             break
         hi *= 2.0
     else:
         raise ValueError("CDF never reaches the requested level")
-    return float(brentq(lambda t: float(cdf(t)) - q, lo, hi, xtol=1e-9, rtol=1e-13))
+    return _brentq(
+        lambda t: float(cdf(t)) - q, float(lo), hi, f_lo - q, f_hi - q, xtol=1e-9, rtol=1e-13
+    )
 
 
 def _compare(values, cdf, quantile_levels) -> dict:

@@ -4,11 +4,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from transhop import analytics
+from transhop import analytics, oracle
 from transhop.cli import main
-from transhop.config import analytic_conditions, comm_params, load_config
+from transhop.config import analytic_conditions, comm_params, load_config, oracle_conditions
 
 
 def run(tmp_path, *args, config=None):
@@ -32,6 +33,22 @@ def test_import_leaves_out_quadrature():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.stdout == "False\n", out.stderr
+
+
+def test_no_command_loads_scipy(tmp_path):
+    # model quantiles come from stats' own root finder: scipy is a test dependency only
+    src = os.path.dirname(os.path.dirname(analytics.__file__))
+    cfg = tmp_path / "o.yaml"
+    cfg.write_text("oracle:\n  samples: 20000\n")
+    code = (
+        "import sys, transhop.cli\n"
+        f"codes = [transhop.cli.main([c, '--check', '--config', {str(cfg)!r},"
+        f" '--output-dir', {str(tmp_path)!r}]) for c in ('analytic', 'oracle')]\n"
+        "print(codes, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.stdout.splitlines()[-1] == "[0, 0] []", out.stderr
 
 
 class TestAnalytic:
@@ -101,6 +118,24 @@ class TestOracle:
         cell = report["cells"]["0.05"]
         assert cell["periodic"] is True
         assert abs(cell["median_shift_s"] - 10.0) <= 3.0
+
+    @pytest.mark.parametrize("n", (2000, 2001))
+    def test_periodic_statistics_equal_numpy(self, tmp_path, n):
+        cfg = (
+            f"oracle:\n  samples: {n}\n  penetrations: [0.05]\n"
+            "comms:\n  broadcast_interval_s: 10\n"
+        )
+        assert run(tmp_path, "oracle", "--seed", "11", config=cfg) == 0
+        cell = json.loads((tmp_path / "oracle_report.json").read_text())["cells"]["0.05"]
+        conf = load_config(str(tmp_path / "run.yaml"))
+        arrs = oracle.sample_arrays(
+            n, oracle_conditions(conf, 0.05), comm_params(conf), rng_seed=11,
+            broadcast_interval=10.0,
+        )
+        assert cell["tau3_median_s"] == float(np.median(arrs["tau3"]))
+        for name in ("tau1", "tau2", "tau3"):
+            for q, got in cell["quantiles"][name].items():
+                assert got == float(np.quantile(arrs[name], float(q)))
 
     def test_byte_reproducible(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from scipy.optimize import brentq
 
-from transhop import stats
+from transhop import analytics, stats
+from transhop.params import CommParams, TrafficConditions
 
 
 def dist(values):
@@ -158,6 +160,71 @@ class TestInvertCdf:
             stats.invert_cdf(cdf, 0.0)
         with pytest.raises(ValueError):
             stats.invert_cdf(cdf, 1.0)
+
+
+def stage_cdf_cases():
+    """Seeded (name, cdf, level) triples over the three stage CDFs."""
+    rng = np.random.default_rng(18)
+    for _ in range(40):
+        tc = TrafficConditions(
+            v1=rng.uniform(10.0, 40.0),
+            v2=rng.uniform(10.0, 40.0),
+            rho1=rng.uniform(0.005, 0.1),
+            rho2=rng.uniform(0.005, 0.1),
+            alpha=rng.uniform(0.005, 0.5),
+        )
+        r = rng.uniform(100.0, 500.0)
+        cp = CommParams(r=r, r_min=rng.uniform(2.1 * r, 20.0 * r))
+        for name, cdf in analytics.stage_cdfs(tc, cp).items():
+            for q in (0.5, 0.9, 0.95, rng.uniform(0.01, 0.99)):
+                yield name, cdf, q
+
+
+class TestBrent:
+    """stats' root finder against scipy's brentq, bit for bit."""
+
+    def test_invert_cdf_equals_brentq(self):
+        for name, cdf, q in stage_cdf_cases():
+            if float(cdf(0.0)) >= q:
+                assert stats.invert_cdf(cdf, q) == 0.0
+                continue
+            hi = 1.0  # invert_cdf's own bracket
+            while float(cdf(hi)) < q:
+                hi *= 2.0
+            ref = brentq(lambda t: float(cdf(t)) - q, 0.0, hi, xtol=1e-9, rtol=1e-13)
+            assert stats.invert_cdf(cdf, q) == ref, (name, q)
+
+    def test_equals_brentq_on_random_brackets(self):
+        # loose tolerances and a flat ninth-power root reach the step rules
+        # that the CDFs at invert_cdf's tolerances rarely do
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            a, b, c, d = rng.uniform(-3.0, 3.0, 4)
+            lo, hi = sorted(rng.uniform(-10.0, 10.0, 2))
+            for f in (
+                lambda x: math.tanh(a * x + b) + 0.3 * math.sin(c * x + d),
+                lambda x: math.copysign(abs(x - a) ** 9, x - a),
+            ):
+                if (f(lo) < 0.0) == (f(hi) < 0.0):
+                    continue
+                for xtol, rtol in ((1e-9, 1e-13), (1e-3, 1e-6), (0.5, 1e-2)):
+                    ref = brentq(f, lo, hi, xtol=xtol, rtol=rtol)
+                    assert stats._brentq(f, lo, hi, f(lo), f(hi), xtol, rtol) == ref
+
+    def test_refusals(self):
+        # a square-root root at zero with xtol 1e-300 outlasts 100 steps, in brentq too
+        f = lambda x: math.copysign(math.sqrt(abs(x)), x)
+        with pytest.raises(RuntimeError):
+            stats._brentq(f, -1.0, 2.0, f(-1.0), f(2.0), 1e-300, 1e-15)
+        f = lambda x: math.exp(x) - 2.0
+        with pytest.raises(ValueError, match="different signs"):
+            stats._brentq(f, 0.0, 0.5, f(0.0), f(0.5), 1e-9, 1e-13)
+        # NaN where the first step lands, then NaN at the bracket's lower end
+        nan_inside = lambda t: float("nan") if 0.2 < t < 0.8 else min(max(t, 0.0), 1.0)
+        with pytest.raises(ValueError, match="NaN"):
+            stats.invert_cdf(nan_inside, 0.5)
+        with pytest.raises(ValueError, match="NaN"):
+            stats.invert_cdf(lambda t: float("nan") if t == 0.0 else 1.0, 0.5)
 
 
 class TestComparisonReport:
