@@ -26,6 +26,7 @@ from .config import (
     ConfigError,
     analytic_conditions,
     analytic_sweep,
+    cell_label,
     comm_params,
     comms_config,
     jam_scenario,
@@ -195,6 +196,7 @@ def cmd_oracle(cfg: dict, out_dir: str, seed: int, check: bool) -> int:
         del arrs  # x2 and r are not reported; free them before the report
         if interval == 0.0:
             report = stats.comparison_report(samples, analytics.stage_cdfs(tc, cp))
+            del samples  # free this penetration's draws before the next one's
             cells[key] = report
             for name in ("tau1", "tau2", "tau3"):
                 ks = report[name]["KS"]
@@ -229,6 +231,7 @@ def cmd_oracle(cfg: dict, out_dir: str, seed: int, check: bool) -> int:
                     for name, d in dists.items()
                 },
             }
+            del dists
             checks.append(
                 (
                     f"alpha={key} median shift",
@@ -272,7 +275,7 @@ def cmd_validate(cfg: dict, out_dir: str, seed: int, check: bool) -> int:
     checks = []
     for cell in cells:
         result = replicate_cell(cell, replicates, parallel=parallel)
-        label = f"lanes={result.lanes},alpha={result.alpha:g}"
+        label = cell_label(result.lanes, result.alpha)
         try:
             ev = evaluate_cell(result, cell.comm.radio)
         except ValueError as exc:

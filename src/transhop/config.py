@@ -285,7 +285,23 @@ def oracle_sweep(cfg: dict) -> tuple[int, list[float]]:
     alphas = [float(x) for x in o["penetrations"]]
     if not alphas or any(not 0.0 <= x <= 1.0 for x in alphas):
         raise ConfigError("oracle.penetrations must be a list of values in [0, 1]")
+    _unique_keys((f"{x:g}" for x in alphas), "oracle.penetrations")
     return n, alphas
+
+
+def _unique_keys(keys, where: str) -> None:
+    """Refuse sweep points whose report keys collide: the report would hold
+    only the last of them."""
+    seen = set()
+    for key in keys:
+        if key in seen:
+            raise ConfigError(f"{where} repeats the sweep point {key}")
+        seen.add(key)
+
+
+def cell_label(lanes: int, alpha: float) -> str:
+    """A validation cell's key in validate_report.json."""
+    return f"lanes={lanes},alpha={alpha:g}"
 
 
 def validation_cells(cfg: dict, seed: int) -> list[CellConfig]:
@@ -329,6 +345,9 @@ def validation_cells(cfg: dict, seed: int) -> list[CellConfig]:
                 max_time=_positive(v["max_time_s"], "validate.max_time_s"),
             )
         )
+    _unique_keys(
+        (cell_label(c.road.n_lanes, c.road.equipped_fraction) for c in cells), "validate.cells"
+    )
     return cells
 
 

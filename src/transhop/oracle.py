@@ -34,6 +34,8 @@ import numpy as np
 
 from .params import CommParams, TrafficConditions
 
+BLOCK = 1 << 16  # rows drawn and transformed at a time
+
 
 def _exp_inverse_cdf(u: np.ndarray, rate: float) -> np.ndarray:
     # u in (0, 1]; -log(u) is then a clean Exp(1) draw with no log(0) risk.
@@ -52,6 +54,8 @@ def sample_arrays(
 
     The uniform draws are laid out one row per sample, so the first sample
     of a batch is identical to a single-sample batch with the same seed.
+    Rows are drawn and transformed BLOCK at a time into the outputs, so the
+    only whole-length arrays are the five returned.
 
     Args:
         broadcast_interval: 0 for continuous broadcasting.  A positive value
@@ -77,30 +81,35 @@ def sample_arrays(
         )
     periodic = broadcast_interval > 0.0
     cols = 2 + (1 if distributed else 0) + (2 if periodic else 0)
+    closing = tc.v1 + tc.v2
 
     rng = np.random.default_rng(rng_seed)
-    u = 1.0 - rng.random((n, cols))  # each entry in (0, 1]
-    col = 0
-    if distributed:
-        r = _exp_inverse_cdf(u[:, col], 1.0 / cp.r)
+    out = {key: np.empty(n) for key in ("x2", "r", "tau1", "tau2", "tau3")}
+    if not distributed:
+        out["r"].fill(cp.r)
+    for lo in range(0, n, BLOCK):
+        # consecutive blocks of rows draw the same uniforms as one (n, cols) draw
+        u = 1.0 - rng.random((min(BLOCK, n - lo), cols))  # each entry in (0, 1]
+        x2, r, tau1, tau2, tau3 = (a[lo : lo + len(u)] for a in out.values())
+        col = 0
+        if distributed:
+            r[:] = _exp_inverse_cdf(u[:, col], 1.0 / cp.r)
+            col += 1
+        x2[:] = -r + _exp_inverse_cdf(u[:, col], lam2)
         col += 1
-    else:
-        r = np.full(n, cp.r)
-    x2 = -r + _exp_inverse_cdf(u[:, col], lam2)
-    col += 1
-    receiver_wait = _exp_inverse_cdf(u[:, col], lam1 * (tc.v1 + tc.v2))
-    col += 1
+        receiver_wait = _exp_inverse_cdf(u[:, col], lam1 * closing)
+        col += 1
 
-    tau1 = np.maximum(0.0, (x2 - r) / (tc.v1 + tc.v2))
-    slack = (x2 + cp.r_min - r) / tc.v2  # negative when already within reach
-    tau2 = np.maximum(0.0, slack)
-    tau3 = np.maximum(0.0, slack + receiver_wait)
+        np.maximum(0.0, (x2 - r) / closing, out=tau1)
+        slack = (x2 + cp.r_min - r) / tc.v2  # negative when already within reach
+        np.maximum(0.0, slack, out=tau2)
+        np.maximum(0.0, slack + receiver_wait, out=tau3)
 
-    if periodic:
-        first_slot = broadcast_interval * (1.0 - u[:, col])
-        second_slot = broadcast_interval * (1.0 - u[:, col + 1])
-        tau1 = tau1 + first_slot
-        tau2 = np.maximum(tau2, tau1)
-        tau3 = tau3 + first_slot + second_slot
+        if periodic:
+            first_slot = broadcast_interval * (1.0 - u[:, col])
+            tau1 += first_slot
+            np.maximum(tau2, tau1, out=tau2)
+            tau3 += first_slot
+            tau3 += broadcast_interval * (1.0 - u[:, col + 1])
 
-    return {"x2": x2, "r": r, "tau1": tau1, "tau2": tau2, "tau3": tau3}
+    return out

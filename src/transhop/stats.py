@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+BLOCK = 1 << 16  # sorted samples scanned at a time by the comparison
+
 
 @dataclass(frozen=True)
 class EmpiricalDistribution:
@@ -64,32 +66,52 @@ def median(dist: EmpiricalDistribution) -> float:
     return float((s[m - 1] + s[m]) / 2)
 
 
-def _runs(s: np.ndarray) -> np.ndarray:
-    """Run boundaries of the sorted array s: run j is s[edges[j]:edges[j + 1]].
+def _window(dist: EmpiricalDistribution, upper_tau: float) -> int:
+    """Number of samples at or below upper_tau; at least two, or refused."""
+    k = int(np.searchsorted(dist.samples, upper_tau, side="right"))
+    if k < 2:
+        raise ValueError("fewer than two samples at or below the comparison bound")
+    return k
 
-    One comparison pass over neighbours, so the distinct values come out
-    without sorting again.
+
+def _scan(dist: EmpiricalDistribution, cdf, k: int):
+    """KS distance between dist and the model cdf, and U over the first k
+    order statistics (None for k = 0), in one pass of BLOCK samples at a time.
+
+    Each block evaluates the model once per distinct value in it.  A run of
+    ties cut by a block edge is evaluated in both blocks against its global
+    bounds, which leaves the supremum unchanged.  U's squared terms go into
+    one k-long buffer summed once, so U is the same float as a whole-array
+    sum.
     """
-    new = np.empty(s.size + 1, dtype=bool)
-    new[0] = new[-1] = True
-    np.not_equal(s[1:], s[:-1], out=new[1:-1])
-    return np.flatnonzero(new)
-
-
-def _ks(s: np.ndarray, edges: np.ndarray, f: np.ndarray) -> float:
-    """Largest one-sided gap between the empirical step function of s and
-    the model values f at its distinct values s[edges[:-1]]."""
-    n = s.size
-    gap = edges[1:] / n  # empirical CDF at each distinct value
-    np.subtract(f, gap, out=gap)
-    np.abs(gap, out=gap)
-    gap_at = gap.max()
-    np.divide(edges[:-1], n, out=gap)  # ... and just below it
-    np.subtract(f, gap, out=gap)
-    if s[0] == 0.0:
-        gap[0] = 0.0
-    np.abs(gap, out=gap)
-    return float(max(gap_at, gap.max()))
+    s, n = dist.samples, dist.n
+    if k:
+        terms = np.arange(1, k + 1, dtype=float)
+        terms /= n  # observed cumulative i / n at the i-th order statistic
+        terms -= terms.mean()
+        np.square(terms, out=terms)
+        denom = float(np.sum(terms))  # > 0: the i / n are distinct
+    gaps = []
+    for lo in range(0, n, BLOCK):
+        block = s[lo : lo + BLOCK]
+        hi = lo + block.size
+        # the block's runs of ties are s[cut[j]:cut[j + 1]]
+        cut = np.concatenate(([lo], lo + 1 + np.flatnonzero(block[1:] != block[:-1]), [hi]))
+        f = np.asarray(cdf(s[cut[:-1]]), dtype=float)
+        # the empirical CDF just below and at each distinct value
+        bounds = cut.copy()
+        bounds[0] = np.searchsorted(s, s[lo])
+        bounds[-1] = np.searchsorted(s, s[hi - 1], side="right")
+        below = np.abs(f - bounds[:-1] / n)
+        if bounds[0] == 0 and s[0] == 0.0:
+            below[0] = 0.0  # the model's left limit at zero is zero
+        gaps += [np.abs(f - bounds[1:] / n).max(), below.max()]
+        if lo < k:
+            x = np.arange(lo + 1, min(hi, k) + 1, dtype=float)
+            x /= n
+            x -= np.repeat(f, np.diff(cut))[: x.size]
+            np.square(x, out=terms[lo : lo + x.size])
+    return float(np.max(gaps)), (float(np.sum(terms) / denom) if k else None)
 
 
 def ks_distance(dist: EmpiricalDistribution, cdf) -> float:
@@ -102,44 +124,7 @@ def ks_distance(dist: EmpiricalDistribution, cdf) -> float:
     in range.  The quantities compared here are non-negative times, so the
     model's left limit at zero is taken as zero.
     """
-    s = dist.samples
-    edges = _runs(s)
-    return _ks(s, edges, np.asarray(cdf(s[edges[:-1]]), dtype=float))
-
-
-def uncertainty_from_cumulatives(observed, reference) -> float:
-    """Normalized squared error between two cumulative curves.
-
-    Sum of squared deviations between the observed cumulative values and the
-    reference curve, divided by the observed curve's total sum of squares
-    about its mean.  0 means exact agreement; the denominator normalizes out
-    the arbitrary scale of the comparison window.
-    """
-    x = np.asarray(observed, dtype=float)
-    xhat = np.asarray(reference, dtype=float)
-    if x.shape != xhat.shape:
-        raise ValueError("observed and reference must have identical shapes")
-    if x.size < 2:
-        raise ValueError("need at least two points to compare curves")
-    denom = float(np.sum((x - x.mean()) ** 2))
-    if denom <= 0.0:
-        raise ValueError("observed cumulative values are all equal")
-    return float(np.sum((x - xhat) ** 2) / denom)
-
-
-def _window(dist: EmpiricalDistribution, upper_tau: float) -> int:
-    """Number of samples at or below upper_tau; at least two, or refused."""
-    k = int(np.searchsorted(dist.samples, upper_tau, side="right"))
-    if k < 2:
-        raise ValueError("fewer than two samples at or below the comparison bound")
-    return k
-
-
-def _uncertainty(dist: EmpiricalDistribution, xhat: np.ndarray) -> float:
-    """Cumulative-curve mismatch of the first xhat.size order statistics,
-    given the model CDF at each of them."""
-    x = np.arange(1, xhat.size + 1, dtype=float) / dist.n
-    return uncertainty_from_cumulatives(x, xhat)
+    return _scan(dist, cdf, 0)[0]
 
 
 def uncertainty_measure(dist: EmpiricalDistribution, cdf, upper_tau: float) -> float:
@@ -147,11 +132,12 @@ def uncertainty_measure(dist: EmpiricalDistribution, cdf, upper_tau: float) -> f
 
     Uses the samples at or below upper_tau (in practice the model's 95%
     quantile, so the noisy extreme tail does not dominate).  The observed
-    cumulative value at the i-th order statistic is i / n with n the full
-    sample count, matched against the model CDF at that point.
+    cumulative value at the i-th order statistic is x_i = i / n with n the
+    full sample count, matched against the model value F_i there:
+    U = sum (x_i - F_i)^2 / sum (x_i - mean x)^2 over the window, so 0 means
+    exact agreement and the denominator normalizes out the window's scale.
     """
-    k = _window(dist, upper_tau)
-    return _uncertainty(dist, np.asarray(cdf(dist.samples[:k]), dtype=float))
+    return _scan(dist, cdf, _window(dist, upper_tau))[1]
 
 
 def _brentq(f, xpre: float, xcur: float, fpre: float, fcur: float,
@@ -238,26 +224,19 @@ def invert_cdf(cdf, q: float, lo: float = 0.0) -> float:
 
 def _compare(values, cdf, quantile_levels) -> dict:
     """One comparison_report entry: a single sort of the samples and a single
-    model evaluation per distinct value serve U, KS and the quantiles."""
+    blocked scan serve U, KS and the quantiles."""
     dist = EmpiricalDistribution.from_samples(values)
-    s = dist.samples
     q95 = invert_cdf(cdf, 0.95)
-    k = _window(dist, q95)
-    edges = _runs(s)
-    f = np.asarray(cdf(s[edges[:-1]]), dtype=float)
-    ks = _ks(s, edges, f)
-    # the window ends on a run boundary, so U's model values are f repeated
-    # over the runs before it
-    j = int(np.searchsorted(edges, k))
-    xhat = np.repeat(f[:j], np.diff(edges[: j + 1]))
-    del edges, f  # free the per-run arrays before U builds its own
+    ks, u = _scan(dist, cdf, _window(dist, q95))
     return {
         "n": dist.n,
-        "U": _uncertainty(dist, xhat),
+        "U": u,
         "KS": ks,
         "model_q95": q95,
         "quantiles": {f"{q:g}": quantile(dist, q) for q in quantile_levels},
-        "model_quantiles": {f"{q:g}": invert_cdf(cdf, q) for q in quantile_levels},
+        "model_quantiles": {
+            f"{q:g}": q95 if q == 0.95 else invert_cdf(cdf, q) for q in quantile_levels
+        },
     }
 
 

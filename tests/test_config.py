@@ -108,6 +108,15 @@ class TestConditions:
         assert tc.v2 == pytest.approx(25.0)
         assert tc.lambda2 == pytest.approx(0.003)
 
+    def test_oracle_repeated_penetration_refused(self, tmp_path):
+        # one report cell per f"{alpha:g}" key: a repeat would keep only the last draw
+        for alphas in ("[0.05, 0.05]", "[0.01, 0.05, 0.05000001]"):
+            cfg = config.load_config(write(tmp_path, f"oracle:\n  penetrations: {alphas}\n"))
+            with pytest.raises(ConfigError, match="oracle.penetrations repeats .*0.05"):
+                config.oracle_sweep(cfg)
+        cfg = config.load_config(write(tmp_path, "oracle:\n  penetrations: [0.05, 0.0501]\n"))
+        assert config.oracle_sweep(cfg)[1] == [0.05, 0.0501]
+
     def test_oracle_matches_analytic_defaults(self):
         cfg = config.load_config(None)
         a = config.analytic_conditions(cfg, 0.05)
@@ -165,6 +174,15 @@ class TestValidationCells:
         cell = config.validation_cells(cfg, seed=1)[0]
         got = (config.road_config(cfg).n_lanes, cell.road.n_lanes, cell.messages)
         assert got == (3, 1, 12) and all(type(x) is int for x in got)
+
+    def test_repeated_cell_refused(self, tmp_path):
+        # the report keeps one cell per key, the records CSV would hold both
+        for second in ("{lanes: 1, penetration: 0.1}", "{lanes: 1.0, penetration: 0.10000001}"):
+            body = f"validate:\n  cells:\n    - {{lanes: 1, penetration: 0.1}}\n    - {second}\n"
+            with pytest.raises(ConfigError, match=r"validate.cells repeats .*lanes=1,alpha=0.1"):
+                config.validation_cells(config.load_config(write(tmp_path, body)), seed=3)
+        body = "validate:\n  cells:\n    - {lanes: 1, penetration: 0.1}\n    - {lanes: 2}\n"
+        assert len(config.validation_cells(config.load_config(write(tmp_path, body)), seed=3)) == 2
 
     def test_full_penetration_allowed(self, tmp_path):
         cfg = config.load_config(write(tmp_path, "validate:\n  cells:\n    - {penetration: 1.0}\n"))

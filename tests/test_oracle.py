@@ -1,5 +1,6 @@
 import ast
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,3 +127,54 @@ def test_shares_no_code_with_the_closed_forms():
     assert imported and all(
         name == "numpy" or name.startswith(".params.") for name in imported
     ), imported
+
+
+def one_shot(n, tc, cp, rng_seed, broadcast_interval=0.0, distributed=False):
+    """The sampler's formulas over one (n, cols) draw of whole-length arrays."""
+    periodic = broadcast_interval > 0.0
+    cols = 2 + distributed + 2 * periodic
+    u = 1.0 - np.random.default_rng(rng_seed).random((n, cols))
+    col = 0
+    if distributed:
+        r = -np.log(u[:, col]) / (1.0 / cp.r)
+        col += 1
+    else:
+        r = np.full(n, cp.r)
+    x2 = -r + -np.log(u[:, col]) / tc.lambda2
+    wait = -np.log(u[:, col + 1]) / (tc.lambda1 * (tc.v1 + tc.v2))
+    tau1 = np.maximum(0.0, (x2 - r) / (tc.v1 + tc.v2))
+    slack = (x2 + cp.r_min - r) / tc.v2
+    tau2 = np.maximum(0.0, slack)
+    tau3 = np.maximum(0.0, slack + wait)
+    if periodic:
+        first_slot = broadcast_interval * (1.0 - u[:, col + 2])
+        second_slot = broadcast_interval * (1.0 - u[:, col + 3])
+        tau1 = tau1 + first_slot
+        tau2 = np.maximum(tau2, tau1)
+        tau3 = tau3 + first_slot + second_slot
+    return {"x2": x2, "r": r, "tau1": tau1, "tau2": tau2, "tau3": tau3}
+
+
+@pytest.mark.parametrize("n", [1, oracle.BLOCK - 1, oracle.BLOCK, oracle.BLOCK + 1,
+                               3 * oracle.BLOCK + 5])
+def test_blocked_draws_equal_one_shot(n):
+    for kw in ({}, {"distributed": True}, {"broadcast_interval": 10.0},
+               {"distributed": True, "broadcast_interval": 2.5}):
+        got = oracle.sample_arrays(n, ASYM, COMM, rng_seed=41, **kw)
+        ref = one_shot(n, ASYM, COMM, 41, **kw)
+        assert list(got) == list(ref)
+        for key in ref:
+            assert got[key].tobytes() == ref[key].tobytes(), (kw, key)
+
+
+def test_sampler_peak_memory():
+    # the five returned arrays plus block-sized temporaries; one (n, cols)
+    # draw with whole-length temporaries peaked at 10 arrays
+    n = 1 << 20
+    tracemalloc.start()
+    try:
+        oracle.sample_arrays(n, SYM, COMM, rng_seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * 8 * n, peak / (8 * n)

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats
 from scipy.optimize import brentq
 
-from transhop import analytics, stats
+from transhop import analytics, oracle, stats
 from transhop.params import CommParams, TrafficConditions
 
 
@@ -108,10 +109,12 @@ class TestKsDistance:
 
 class TestUncertainty:
     def test_hand_value(self):
-        x = [0.2, 0.4, 0.6, 0.8]
-        xhat = [0.25, 0.45, 0.55, 0.75]
+        # x_i = i / 5 = [0.2, 0.4, 0.6, 0.8] against F = [0.25, 0.45, 0.55, 0.75]:
         # numerator 4 * 0.05^2 = 0.01, denominator 0.2
-        assert stats.uncertainty_from_cumulatives(x, xhat) == pytest.approx(0.05, rel=1e-12)
+        d = dist(np.arange(1.0, 6.0))
+        cdf = lambda t: np.interp(t, [1.0, 2.0, 3.0, 4.0, 5.0], [0.25, 0.45, 0.55, 0.75, 0.95])
+        u = stats.uncertainty_measure(d, cdf, upper_tau=4.0)
+        assert u == pytest.approx(0.05, rel=1e-12)
 
     def test_zero_on_exact_agreement(self):
         d = dist(np.arange(1.0, 11.0))
@@ -127,15 +130,10 @@ class TestUncertainty:
         assert u == pytest.approx(1.375, rel=1e-12)
 
     def test_errors(self):
-        with pytest.raises(ValueError):
-            stats.uncertainty_from_cumulatives([0.1], [0.1])
-        with pytest.raises(ValueError):
-            stats.uncertainty_from_cumulatives([0.1, 0.2], [0.1, 0.2, 0.3])
-        with pytest.raises(ValueError):
-            stats.uncertainty_from_cumulatives([0.3, 0.3], [0.1, 0.2])
         d = dist([1.0, 2.0, 3.0])
-        with pytest.raises(ValueError):
-            stats.uncertainty_measure(d, lambda t: np.asarray(t) / 3.0, upper_tau=1.5)
+        for upper_tau in (0.5, 1.5):
+            with pytest.raises(ValueError, match="fewer than two samples"):
+                stats.uncertainty_measure(d, lambda t: np.asarray(t) / 3.0, upper_tau)
 
 
 class TestInvertCdf:
@@ -269,3 +267,51 @@ class TestComparisonReport:
     def test_missing_cdf_is_an_error(self):
         with pytest.raises(KeyError):
             stats.comparison_report({"a": [1.0, 2.0]}, {})
+
+
+def u_reference(d, cdf, k) -> float:
+    """U over whole arrays: i / n and the model at each of the first k samples."""
+    x = np.arange(1, k + 1, dtype=float) / d.n
+    xhat = np.asarray(cdf(d.samples[:k]), dtype=float)
+    return float(np.sum((x - xhat) ** 2) / float(np.sum((x - x.mean()) ** 2)))
+
+
+class TestBlockedComparison:
+    """The blocked scan against whole-array references, over blocks that cut
+    runs of ties, including the point mass at zero."""
+
+    N = 3 * stats.BLOCK + 7
+
+    @pytest.mark.parametrize("block", [0, 1, 3])
+    def test_equals_whole_array_references(self, block):
+        x = tied_samples(self.N)
+        d = dist(x)
+        s = d.samples
+        # a model stretched so its 95% quantile falls between two distinct
+        # sample values, and U's window ends in the chosen block
+        j = {0: 0, 1: 3 * stats.BLOCK // 2, 3: self.N - 4}[block]
+        above = s[np.searchsorted(s, s[j], side="right")]
+        q95_0 = stats.invert_cdf(tied_cdf, 0.95)
+        c = (s[j] + above) / 2 / q95_0
+        cdf = lambda t: tied_cdf(np.asarray(t, dtype=float) / c)
+        entry = stats.comparison_report({"t": x}, {"t": cdf})["t"]
+        k = int(np.searchsorted(s, entry["model_q95"], side="right"))
+        assert (k - 1) // stats.BLOCK == block
+        assert entry["KS"] == ks_reference(d, cdf) == stats.ks_distance(d, cdf)
+        assert entry["U"] == u_reference(d, cdf, k)
+        assert entry["U"] == stats.uncertainty_measure(d, cdf, entry["model_q95"])
+
+    def test_peak_memory(self):
+        # the sorted copy and U's one window-sized buffer; whole-length model,
+        # gap and difference arrays peaked at about 9 arrays
+        n = 1 << 20
+        tc = TrafficConditions.symmetric(v=25.0, rho=0.03, alpha=0.05)
+        cp = CommParams(r=200.0, r_min=1000.0)
+        x = oracle.sample_arrays(n, tc, cp, rng_seed=3)["tau3"]
+        tracemalloc.start()
+        try:
+            stats.comparison_report({"t": x}, {"t": analytics.cdf_function("P3", tc, cp)})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * 8 * n, peak / (8 * n)
