@@ -220,6 +220,10 @@ class CommsEngine:
 
         A message retires in the step it ends: its source leaves before a
         hop, its relay leaves, or it is delivered without jam_detection.
+        Source and relay rows are found by vid.  The equipped positions of
+        a direction are read at most once per step, and only when a message
+        needs them: direction 2's for a stage-1 message in its broadcast
+        slot, direction 1's for a relay that may deliver.
         """
         t_now = sim.t
         t_prev = self._last_t
@@ -235,12 +239,16 @@ class CommsEngine:
             return
         d1 = sim.state(1)
         d2 = sim.state(2)
-        vid1, x1, eq1 = d1.vid, d1.x, d1.equipped
-        vid2, x2, eq2 = d2.vid, d2.x, d2.equipped
-        xe1 = x1[eq1]
-        ve1 = vid1[eq1]
-        xe2 = x2[eq2][::-1]
-        ve2 = vid2[eq2][::-1]
+        vid1, vid2 = d1.vid, d2.vid
+        views = {}
+
+        def equipped(d):
+            """d's equipped positions, ascending in x, and their vids."""
+            if d.direction not in views:
+                eq = d.equipped
+                xe, ve = d.x_of(d.s[eq]), d.vid[eq]
+                views[d.direction] = (xe, ve) if d.direction == 1 else (xe[::-1], ve[::-1])
+            return views[d.direction]
 
         r = self.cfg.radio.r
         interval = self.cfg.broadcast_interval
@@ -257,7 +265,8 @@ class CommsEngine:
                     continue
                 if not _slot_in(msg.creation_time, t_prev, t_now, interval):
                     continue
-                xs = float(x1[si])
+                xe2, ve2 = equipped(d2)
+                xs = d1.x_of(float(d1.s[si]))
                 lo = int(np.searchsorted(xe2, xs - r, side="left"))
                 hi = int(np.searchsorted(xe2, xs + r, side="right"))
                 if hi == lo:
@@ -275,14 +284,16 @@ class CommsEngine:
                     self.dead_relay_exit += 1
                 del self._active[mid]
                 continue
-            self._relay_step(tx, float(x2[ri]), t_prev, t_now, xe1, ve1)
+            self._relay_step(tx, d2.x_of(float(d2.s[ri])), t_prev, t_now,
+                             lambda: equipped(d1))
             if tx.delivered and not self.cfg.jam_detection:
                 del self._active[mid]
 
-    def _relay_step(self, tx, xr, t_prev, t_now, xe1, ve1):
+    def _relay_step(self, tx, xr, t_prev, t_now, receivers):
         """Availability and delivery for a relay now at xr.
 
-        xe1/ve1 are the equipped direction-1 positions (ascending) and vids.
+        receivers() gives the equipped direction-1 positions (ascending)
+        and vids; it is called only if the relay may deliver this step.
         """
         msg = tx.msg
         r = self.cfg.radio.r
@@ -294,6 +305,7 @@ class CommsEngine:
             return
         if not _slot_in(tx.pickup_time, t_prev, t_now, self.cfg.broadcast_interval):
             return
+        xe1, ve1 = receivers()
         hi_bound = min(xr + r, avail_bound)
         lo = int(np.searchsorted(xe1, xr - r, side="left"))
         hi = int(np.searchsorted(xe1, hi_bound, side="right"))

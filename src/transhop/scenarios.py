@@ -48,6 +48,8 @@ class CellConfig:
     def __post_init__(self):
         if self.comm.landmark_x is None:
             raise ValueError("validation cells need a landmark position")
+        if self.comm.jam_detection:
+            raise ValueError("validation cells carry landmark messages only, not jam detection")
         if not 0.0 < self.comm.landmark_x < self.road.length:
             raise ValueError("comms.landmark_x_m must lie strictly inside the road")
         if self.messages < 1:
@@ -76,7 +78,7 @@ class CellResult:
 
 # The latest warmed (sim, engine) as (key, snapshot), or None.  Equipment
 # is a stored uniform per vehicle that never feeds back into the dynamics,
-# and warmup generates no messages, so a warm state depends on the
+# and warmup runs the traffic alone, so a warm state depends on the
 # penetration only through its cfg: cells that differ only in
 # equipped_fraction (a penetration sweep on one seed) warm once per process.
 _warm = None
@@ -84,7 +86,13 @@ _warm = None
 
 def _warmed(cell: CellConfig):
     """The cell's (sim, engine) after warmup, copied from _warm when the
-    cell shares its key, else warmed now and stored there."""
+    cell shares its key, else warmed now and stored there.
+
+    Warmup steps the traffic alone and attaches the engine after it: an
+    engine that generates nothing and has no jam hook leaves no trace
+    before measure start, since its landmark probe's earlier crossings are
+    never read.
+    """
     global _warm
     warmup = default_warmup(cell.road) if cell.warmup is None else cell.warmup
     key = (replace(cell.road, equipped_fraction=0.0), cell.comm, cell.seed, warmup)
@@ -95,11 +103,9 @@ def _warmed(cell: CellConfig):
             d.cfg = cell.road
         return sim, engine
     sim = TrafficSim(cell.road, cell.seed)
-    engine = CommsEngine(sim, cell.comm)
-    engine.generation_enabled = False
     for _ in range(round(warmup / cell.road.dt)):
         sim.step()
-        engine.after_step(sim)
+    engine = CommsEngine(sim, cell.comm)
     _warm = (key, copy.deepcopy((sim, engine)))
     return sim, engine
 
@@ -108,7 +114,6 @@ def run_validation_cell(cell: CellConfig) -> CellResult:
     sim, engine = _warmed(cell)
     measure_start = sim.t
     det2 = sim.add_probe(cell.comm.landmark_x, direction=2)
-    engine.generation_enabled = True
 
     truncated = False
     while True:

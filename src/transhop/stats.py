@@ -74,15 +74,17 @@ def _window(dist: EmpiricalDistribution, upper_tau: float) -> int:
     return k
 
 
-def _scan(dist: EmpiricalDistribution, cdf, k: int):
-    """KS distance between dist and the model cdf, and U over the first k
-    order statistics (None for k = 0), in one pass of BLOCK samples at a time.
+def _scan(dist: EmpiricalDistribution, cdf, k: int, ks: bool = True):
+    """KS distance between dist and the model cdf (None unless ks), and U
+    over the first k order statistics (None for k = 0), in one pass of
+    BLOCK samples at a time.
 
     Each block evaluates the model once per distinct value in it.  A run of
     ties cut by a block edge is evaluated in both blocks against its global
-    bounds, which leaves the supremum unchanged.  U's squared terms go into
-    one k-long buffer summed once, so U is the same float as a whole-array
-    sum.
+    bounds, which leaves the supremum unchanged.  Without ks the pass stops
+    after the block that holds the k-th order statistic.  U's squared terms
+    go into one k-long buffer summed once, so U is the same float as a
+    whole-array sum.
     """
     s, n = dist.samples, dist.n
     if k:
@@ -92,26 +94,28 @@ def _scan(dist: EmpiricalDistribution, cdf, k: int):
         np.square(terms, out=terms)
         denom = float(np.sum(terms))  # > 0: the i / n are distinct
     gaps = []
-    for lo in range(0, n, BLOCK):
+    for lo in range(0, n if ks else k, BLOCK):
         block = s[lo : lo + BLOCK]
         hi = lo + block.size
         # the block's runs of ties are s[cut[j]:cut[j + 1]]
         cut = np.concatenate(([lo], lo + 1 + np.flatnonzero(block[1:] != block[:-1]), [hi]))
         f = np.asarray(cdf(s[cut[:-1]]), dtype=float)
-        # the empirical CDF just below and at each distinct value
-        bounds = cut.copy()
-        bounds[0] = np.searchsorted(s, s[lo])
-        bounds[-1] = np.searchsorted(s, s[hi - 1], side="right")
-        below = np.abs(f - bounds[:-1] / n)
-        if bounds[0] == 0 and s[0] == 0.0:
-            below[0] = 0.0  # the model's left limit at zero is zero
-        gaps += [np.abs(f - bounds[1:] / n).max(), below.max()]
+        if ks:
+            # the empirical CDF just below and at each distinct value
+            bounds = cut.copy()
+            bounds[0] = np.searchsorted(s, s[lo])
+            bounds[-1] = np.searchsorted(s, s[hi - 1], side="right")
+            below = np.abs(f - bounds[:-1] / n)
+            if bounds[0] == 0 and s[0] == 0.0:
+                below[0] = 0.0  # the model's left limit at zero is zero
+            gaps += [np.abs(f - bounds[1:] / n).max(), below.max()]
         if lo < k:
             x = np.arange(lo + 1, min(hi, k) + 1, dtype=float)
             x /= n
             x -= np.repeat(f, np.diff(cut))[: x.size]
             np.square(x, out=terms[lo : lo + x.size])
-    return float(np.max(gaps)), (float(np.sum(terms) / denom) if k else None)
+    ks_value = float(np.max(gaps)) if ks else None
+    return ks_value, (float(np.sum(terms) / denom) if k else None)
 
 
 def ks_distance(dist: EmpiricalDistribution, cdf) -> float:
@@ -137,7 +141,7 @@ def uncertainty_measure(dist: EmpiricalDistribution, cdf, upper_tau: float) -> f
     U = sum (x_i - F_i)^2 / sum (x_i - mean x)^2 over the window, so 0 means
     exact agreement and the denominator normalizes out the window's scale.
     """
-    return _scan(dist, cdf, _window(dist, upper_tau))[1]
+    return _scan(dist, cdf, _window(dist, upper_tau), ks=False)[1]
 
 
 def _brentq(f, xpre: float, xcur: float, fpre: float, fcur: float,

@@ -58,7 +58,11 @@ def idm_acceleration(v, desired_v, gap, lead_v, p: IdmParams, time_headway=None)
     headway = p.time_headway if time_headway is None else time_headway
     approach = v - lead_v
     braking_scale = 2.0 * math.sqrt(p.max_accel * p.comfort_decel)
-    desired_gap = p.min_gap + np.maximum(0.0, v * headway + v * approach / braking_scale)
+    dynamic = v * headway + v * approach / braking_scale
+    # a float stays a float: np.maximum would make it a numpy scalar
+    desired_gap = p.min_gap + (
+        max(dynamic, 0.0) if isinstance(dynamic, float) else np.maximum(0.0, dynamic)
+    )
     free_term = (v / desired_v) ** p.exponent
     return p.max_accel * (1.0 - free_term - (desired_gap / gap) ** 2)
 

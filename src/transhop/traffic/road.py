@@ -8,13 +8,15 @@ coincide for direction 1 and are mirrored for direction 2.
 
 Both directions' vehicles live in one stacked struct-of-arrays, direction
 1's rows first, so each vectorized phase runs once per step for both.  Per
-step: accelerations, ballistic advance with stop clamping, re-sort by
-position (only where a block is out of order), lane changes on their own
-cadence, collision audit from the leader map, crossing probes and state
-hooks (these see aligned before/after positions), exit removal, then
-arrivals and insertion in place.  The per-lane split of the rows, with its
-leader and follower maps, is kept until a row moves or changes lane, so a
-step that moves none reuses it.  Inflow is
+step: accelerations from the lane split's leader map, ballistic advance
+with stop clamping, an overlap check on that same map, re-sort by position
+(only where a block is out of order), lane changes on their own cadence,
+the collision audit (only if the overlap check flagged a pair or a lane
+change was made), crossing probes and state hooks (these see aligned
+before/after positions), exit removal, arrivals and insertion in place,
+and last the lane split for the next step.  The split, with its leader and
+follower maps, is kept until a row moves or changes lane, so a step whose
+rows keep their order builds it once.  Inflow is
 a thinned Poisson stream per lane, so time-varying demand keeps the
 per-direction random streams aligned: all draws for one direction come
 from its own generator, which makes each direction's evolution independent
@@ -230,7 +232,9 @@ class _Stack:
     between steps.  A row's road lane is (direction - 1) * n_lanes + lane,
     so a lane of one direction is never next to a lane of the other.
     split holds the rows' latest neighbor_maps() by road lane, or None;
-    whatever moves a row or changes a lane drops it.
+    whatever moves a row or changes a lane drops it.  TrafficSim.step()
+    builds it last, for the next step's IDM; within a step only the lane
+    pass and the collision audit may build it again.
     """
 
     def __init__(self, n_lanes: int):
@@ -387,14 +391,15 @@ class DirectionState:
             return
         inserted_rows = []
         open_lanes = {}
-        stack = self._stack
-        s, v = stack.cols["s"], stack.cols["v"]
-        members = stack.lane_split()[0]
-        first = (self.direction - 1) * self.cfg.n_lanes
+        cols = self._stack.cols
+        s, v = cols["s"], cols["v"]
+        rows = self._rows
+        lane = cols["lane"][rows]
         for k in range(self.cfg.n_lanes):
-            m = members[first + k]
-            if m.size:
-                tail = int(m[0])
+            # the block is in s order, so a lane's rearmost row is its first
+            in_k = lane == k
+            if in_k.any():
+                tail = rows.start + int(in_k.argmax())
                 open_lanes[k] = (
                     float(s[tail]) - self.cfg.idm.vehicle_length,
                     float(v[tail]),
@@ -484,9 +489,12 @@ class TrafficSim:
     and per-step state hooks.
 
     Every vectorized phase runs once per step over the rows of both
-    directions and reads the stack's lane split.  State hooks run after
-    motion and lane changes but before exit removal and insertion, so
-    prev_s/s are aligned for every vehicle the hook sees.
+    directions.  The step's IDM reads the stack's lane split, built at the
+    end of the step before; the lane pass and the collision audit read it
+    too, rebuilt only if a re-sort or a lane change dropped it, and
+    insertion reads each lane's rearmost row from the lane column.  State
+    hooks run after motion and lane changes but before exit removal and
+    insertion, so prev_s/s are aligned for every vehicle the hook sees.
     """
 
     def __init__(self, cfg: RoadConfig, seed: int):
@@ -540,17 +548,18 @@ class TrafficSim:
         stop = np.flatnonzero(v_after < 0.0)  # would reverse within the step
         v_after = np.maximum(v_after, 0.0)
         travel = 0.5 * (v_before + v_after) * dt
-        v_stop = v_before[stop]
-        travel[stop] = v_stop * v_stop / (2.0 * np.maximum(-acc[stop], 1e-12))
+        if stop.size:
+            v_stop = v_before[stop]
+            travel[stop] = v_stop * v_stop / (2.0 * np.maximum(-acc[stop], 1e-12))
         cols["prev_s"] = cols["s"]
         cols["s"] = cols["s"] + np.maximum(travel, 0.0)
         cols["v"] = v_after
 
-    def _lane_pass(self):
-        """Apply the MOBIL lane changes."""
+    def _lane_pass(self) -> bool:
+        """Apply the MOBIL lane changes; return whether any was made."""
         lanes = self.cfg.n_lanes
         if lanes < 2:
-            return
+            return False
         cols = self._stack.cols
         s, v, v0, lane = cols["s"], cols["v"], cols["v0"], cols["lane"]
         maps = self._stack.lane_split()
@@ -560,6 +569,7 @@ class TrafficSim:
             s, v, v0, acc, headway, maps, lanes, self.cfg.idm, self.cfg.mobil,
         )
         road_lanes = self._stack.road_lanes()
+        changed = False
         # each direction's changes in its own order; a revalidation reads
         # only its own direction's target lane, so interleaving them is safe
         for j in np.argsort(-incentive, kind="stable"):
@@ -572,6 +582,8 @@ class TrafficSim:
                 lane[i] = tgt % lanes
                 self.directions[tgt // lanes + 1].lane_changes += 1
                 self._stack.split = None
+                changed = True
+        return changed
 
     def _check_collisions(self, t: float):
         """Raise CollisionError for the rearmost overlapping pair of the
@@ -598,10 +610,13 @@ class TrafficSim:
         )
 
     def _remove_exited(self):
-        gone = self._stack.cols["s"] > self.cfg.length
-        if not np.any(gone):
-            return
+        s, length = self._stack.cols["s"], self.cfg.length
         n1, n = self._stack.bounds[1], self._stack.n
+        # each block is in s order, so only a block whose top row is past
+        # the end loses rows
+        if not ((n1 and s[n1 - 1] > length) or (n > n1 and s[n - 1] > length)):
+            return
+        gone = s > length
         gone1 = int(np.count_nonzero(gone[:n1]))
         gone_all = int(np.count_nonzero(gone))
         self.directions[1].exited += gone1
@@ -611,11 +626,18 @@ class TrafficSim:
     def step(self):
         dt = self.cfg.dt
         t_new = self.t + dt
-        self._advance(self._accel(self._stack.lane_split()[1], self._effective_headway()), dt)
+        lead = self._stack.lane_split()[1]
+        self._advance(self._accel(lead, self._effective_headway()), dt)
+        # With no pair of the pre-move leader map closer than a vehicle
+        # length, every lane keeps its order, so the re-sorted rows pair the
+        # same vehicles and the audit could find nothing, unless a lane
+        # change moved a row.
+        s = self._stack.cols["s"]
+        overlap = np.any((s[lead] - s < self.cfg.idm.vehicle_length) & (lead >= 0))
         self._stack.resort()
-        if self.step_count % self._mobil_every == 0:
-            self._lane_pass()
-        self._check_collisions(t_new)
+        changed = self.step_count % self._mobil_every == 0 and self._lane_pass()
+        if overlap or changed:
+            self._check_collisions(t_new)
         for p in self.probes:
             p._observe(self.directions[p.direction], t_new)
         for hook in self.state_hooks:
@@ -624,6 +646,7 @@ class TrafficSim:
         for d in self.directions.values():
             d._collect_arrivals(t_new)
             d._try_insert()
+        self._stack.lane_split()
         self.t = t_new
         self.step_count += 1
 

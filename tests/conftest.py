@@ -13,7 +13,7 @@ INFLOW = 1200.0 / 3600.0
 LANDMARK_X = 10000.0
 
 # Session simulation fixtures in the order their tests run, cheapest first
-# (set-up about 13 s, 3.8 min and 6.3 min on 2 cores, by `pytest --durations=5`).
+# (set-up about 12 s, 2.1 min and 4.0 min on 2 cores, by `pytest --durations=5`).
 EXPENSIVE_FIXTURES = ("jam_result", "single_lane_sweep", "two_lane_cell")
 
 

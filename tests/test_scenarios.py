@@ -1,12 +1,12 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from transhop import scenarios
-from transhop.comms import CommsConfig
+from transhop.comms import CommsConfig, CommsEngine
 from transhop.scenarios import CellConfig, CellResult, _front_positions
-from transhop.traffic.road import InflowProfile, RoadConfig, TrafficSim
+from transhop.traffic.road import InflowProfile, RoadConfig, TrafficSim, detector_reading
 
 
 def front_positions_by_row(field_t, field_x, field_v, v_cong, x_lo, x_hi):
@@ -101,3 +101,67 @@ def test_one_warmup_per_seed_and_one_entry(empty_cache, monkeypatch):
         sim, _engine = scenarios._warmed(cell)
         assert len(built) == k
         assert sim.cfg is cell.road
+
+
+def engine_through_warmup(cell):
+    """The cell with its engine attached at t = 0 and stepped through
+    warmup with generation off, then run like run_validation_cell."""
+    sim = TrafficSim(cell.road, cell.seed)
+    engine = CommsEngine(sim, cell.comm)
+    engine.generation_enabled = False
+    for _ in range(round(cell.warmup / cell.road.dt)):
+        sim.step()
+        engine.after_step(sim)
+    measure_start = sim.t
+    det2 = sim.add_probe(cell.comm.landmark_x, direction=2)
+    engine.generation_enabled = True
+    while engine.created < cell.messages or engine.active_count:
+        if engine.created >= cell.messages:
+            engine.generation_enabled = False
+        sim.step()
+        engine.after_step(sim)
+    return CellResult(
+        lanes=cell.road.n_lanes,
+        alpha=cell.road.equipped_fraction,
+        seed=cell.seed,
+        **{k: getattr(engine, k) for k in scenarios._COUNTS},
+        sim_time=sim.t,
+        truncated=False,
+        samples={k: np.asarray(getattr(engine, f"{k}_samples"), dtype=float)
+                 for k in ("tau1", "tau2", "tau3")},
+        reading1=detector_reading(engine.landmark_probe, measure_start, sim.t),
+        reading2=detector_reading(det2, measure_start, sim.t),
+    )
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_engine_free_warmup_equals_an_engine_through_warmup(empty_cache, lanes):
+    cells = [short_cell(alpha, lanes=lanes) for alpha in (0.05, 0.10)]
+    want = [engine_through_warmup(cell) for cell in cells]
+    assert all(r.delivered > 0 and r.reading1 and r.reading2 for r in want)
+    assert_same_result(scenarios.run_validation_cell(cells[0]), want[0])
+    warm = scenarios._warm
+    assert_same_result(scenarios.run_validation_cell(cells[1]), want[1])
+    assert scenarios._warm is warm  # the second cell restored the first's warm state
+
+
+def test_no_engine_step_during_warmup(empty_cache, monkeypatch):
+    stepped = []
+    after_step = CommsEngine.after_step
+
+    def recording(engine, sim):
+        stepped.append(sim.t)
+        after_step(engine, sim)
+
+    monkeypatch.setattr(CommsEngine, "after_step", recording)
+    cell = short_cell()
+    result = scenarios.run_validation_cell(cell)
+    dt = cell.road.dt
+    assert stepped[0] == cell.warmup + dt
+    assert len(stepped) == round((result.sim_time - cell.warmup) / dt)
+
+
+def test_jam_detection_refused():
+    cell = short_cell()
+    with pytest.raises(ValueError, match="jam detection"):
+        replace(cell, comm=replace(cell.comm, jam_detection=True))

@@ -299,7 +299,15 @@ class TestBlockedComparison:
         assert (k - 1) // stats.BLOCK == block
         assert entry["KS"] == ks_reference(d, cdf) == stats.ks_distance(d, cdf)
         assert entry["U"] == u_reference(d, cdf, k)
-        assert entry["U"] == stats.uncertainty_measure(d, cdf, entry["model_q95"])
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return cdf(t)
+
+        # without KS the scan stops at the block where U's window ends
+        assert entry["U"] == stats.uncertainty_measure(d, counted, entry["model_q95"])
+        assert len(calls) == block + 1
 
     def test_peak_memory(self):
         # the sorted copy and U's one window-sized buffer; whole-length model,
