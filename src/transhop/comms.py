@@ -220,8 +220,11 @@ class CommsEngine:
 
         A message retires in the step it ends: its source leaves before a
         hop, its relay leaves, or it is delivered without jam_detection.
-        Source and relay rows are found by vid.  The equipped positions of
-        a direction are read at most once per step, and only when a message
+        It reads sim.directions, whose rows the step may leave out of
+        (s, vid) order across lanes, and never forces that order on the
+        whole stack.  Source and relay rows are found by vid.  The equipped
+        positions of a direction are read at most once per step, in (s, vid)
+        order from DirectionState.equipped_rows(), and only when a message
         needs them: direction 2's for a stage-1 message in its broadcast
         slot, direction 1's for a relay that may deliver.
         """
@@ -237,16 +240,16 @@ class CommsEngine:
 
         if not self._active:
             return
-        d1 = sim.state(1)
-        d2 = sim.state(2)
+        d1 = sim.directions[1]
+        d2 = sim.directions[2]
         vid1, vid2 = d1.vid, d2.vid
         views = {}
 
         def equipped(d):
             """d's equipped positions, ascending in x, and their vids."""
             if d.direction not in views:
-                eq = d.equipped
-                xe, ve = d.x_of(d.s[eq]), d.vid[eq]
+                rows = d.equipped_rows()
+                xe, ve = d.x_of(d.s[rows]), d.vid[rows]
                 views[d.direction] = (xe, ve) if d.direction == 1 else (xe[::-1], ve[::-1])
             return views[d.direction]
 

@@ -7,16 +7,21 @@ the entry point), so both directions run the same update code; s and x
 coincide for direction 1 and are mirrored for direction 2.
 
 Both directions' vehicles live in one stacked struct-of-arrays, direction
-1's rows first, so each vectorized phase runs once per step for both.  Per
-step: accelerations from the lane split's leader map, ballistic advance
-with stop clamping, an overlap check on that same map, re-sort by position
-(only where a block is out of order), lane changes on their own cadence,
-the collision audit (only if the overlap check flagged a pair or a lane
-change was made), crossing probes and state hooks (these see aligned
-before/after positions), exit removal, arrivals and insertion in place,
-and last the lane split for the next step.  The split, with its leader and
-follower maps, is kept until a row moves or changes lane, so a step whose
-rows keep their order builds it once.  Inflow is
+1's rows first, so each vectorized phase runs once per step for both.
+Each road lane's rows ascend in (s, vid), but the lanes of one direction
+may interleave in any order: vehicles in neighbouring lanes pass each
+other without moving a row.  Per step: accelerations from the lane
+split's leader map, ballistic advance with stop clamping, an overlap check
+on that same map, a re-sort to the full (s, vid) order only before a lane
+pass or an audit, lane changes on their own cadence, the collision audit
+(only if the overlap check flagged a pair or a lane change was made),
+crossing probes and state hooks (these see aligned before/after
+positions), exit removal, arrivals and insertion in place, and last the
+lane split for the next step.  The split, with its leader and follower
+maps, is kept until a row moves or changes lane, so a step with no
+re-sort, exit, insertion or lane change builds it at most once.  Whatever
+reads the full order restores it: sim.state(k), the probes and the
+message engine's equipped view.  Inflow is
 a thinned Poisson stream per lane, so time-varying demand keeps the
 per-direction random streams aligned: all draws for one direction come
 from its own generator, which makes each direction's evolution independent
@@ -177,8 +182,9 @@ class DetectorReading:
 class CrossingProbe:
     """Records every vehicle of one direction crossing a fixed position.
 
-    rows holds one (t, vid, lane, v, equip_u) tuple per crossing, in order;
-    the vehicle is equipped iff equip_u < the road's equipped_fraction.
+    rows holds one (t, vid, lane, v, equip_u) tuple per crossing, in time
+    order and, within a step, in (s, vid) order; the vehicle is equipped
+    iff equip_u < the road's equipped_fraction.
     """
 
     def __init__(self, x: float, direction: int, s_pos: float):
@@ -190,6 +196,8 @@ class CrossingProbe:
 
     def _observe(self, state: "DirectionState", t: float):
         hit = np.flatnonzero((state.prev_s < self.s_pos) & (state.s >= self.s_pos))
+        if hit.size > 1:  # lanes may interleave: one step's crossings in (s, vid) order
+            hit = hit[np.lexsort((state.vid[hit], state.s[hit]))]
         for i in hit:
             self.rows.append((t, int(state.vid[i]), int(state.lane[i]), float(state.v[i]),
                               float(state.equip_u[i])))
@@ -228,9 +236,12 @@ class _Stack:
     """Both directions' per-vehicle columns as one struct-of-arrays.
 
     Direction 1's rows come first, then direction 2's; rows
-    bounds[k - 1]:bounds[k] are direction k's block, sorted by (s, vid)
-    between steps.  A row's road lane is (direction - 1) * n_lanes + lane,
-    so a lane of one direction is never next to a lane of the other.
+    bounds[k - 1]:bounds[k] are direction k's block.  Between steps each
+    road lane's rows ascend in (s, vid), but a block's lanes may
+    interleave; resort() restores each block's full (s, vid) order, which
+    is canonical, so it yields the same rows from any arrangement.  A row's
+    road lane is (direction - 1) * n_lanes + lane, so a lane of one
+    direction is never next to a lane of the other.
     split holds the rows' latest neighbor_maps() by road lane, or None;
     whatever moves a row or changes a lane drops it.  TrafficSim.step()
     builds it last, for the next step's IDM; within a step only the lane
@@ -267,7 +278,7 @@ class _Stack:
         self.split = None
 
     def resort(self):
-        """Restore each block's (s, vid) order.
+        """Restore each block's (s, vid) order from any arrangement.
 
         A block whose s strictly ascends is in order already.  A stable
         argsort by s orders any other block, unless its sorted s has an
@@ -291,14 +302,17 @@ class _Stack:
 
     def insert(self, direction: int, rows: dict):
         """Put rows (column name -> values) that share one s into a
-        direction's block, after every row at or below that s.
+        direction's block, before its first row above that s.
 
-        The block is in (s, vid) order and the new rows carry fresh,
-        ascending vids, so the order holds without a sort.
+        The new rows carry fresh, ascending vids, so each lane keeps its
+        (s, vid) order if the block is in that order, or if no row of the
+        new rows' lanes sits at or below s.  Arrivals, at s = 0, meet the
+        second condition: a lane takes one only when its rearmost row is
+        more than a vehicle length in.
         """
         lo, hi = self.bounds[direction - 1], self.bounds[direction]
-        s_new = float(rows["s"][0])
-        at = lo + int(np.searchsorted(self.cols["s"][lo:hi], s_new, side="right"))
+        above = np.flatnonzero(self.cols["s"][lo:hi] > float(rows["s"][0]))
+        at = lo + int(above[0]) if above.size else hi
         for name, dtype in _COLUMNS:
             col = self.cols[name]
             rows_k = np.asarray(rows[name], dtype=dtype)
@@ -313,9 +327,11 @@ class DirectionState:
     and counters, and its block of the stacked vehicle columns.
 
     Each column in _COLUMNS reads and writes a view of this direction's
-    rows, which stay sorted by (s, vid) between steps.  prev_s holds each
-    vehicle's position before the latest advance, aligned with the current
-    rows, so probes can detect crossings after sorting.
+    rows in the order the step left them: each lane's rows ascend in
+    (s, vid), but the lanes may interleave.  TrafficSim.state() restores
+    the full (s, vid) order, and equipped_rows() reads it.  prev_s holds
+    each vehicle's position before the latest advance, aligned with the
+    current rows, so probes can detect crossings after any reordering.
     """
 
     def __init__(self, direction: int, cfg: RoadConfig, seed: int, stack: _Stack):
@@ -396,7 +412,7 @@ class DirectionState:
         rows = self._rows
         lane = cols["lane"][rows]
         for k in range(self.cfg.n_lanes):
-            # the block is in s order, so a lane's rearmost row is its first
+            # a lane's rows ascend in s, so its rearmost row is its first
             in_k = lane == k
             if in_k.any():
                 tail = rows.start + int(in_k.argmax())
@@ -433,11 +449,13 @@ class DirectionState:
         """Place a vehicle directly; for tests and hand-built scenes.
 
         Its equipment holds at every penetration: the draw is -inf if
-        equipped, +inf if not.
+        equipped, +inf if not.  The stack is re-sorted first, so the row
+        joins its block at its (s, vid) place, in any lane and at any s.
         """
         s = self.s_of(x)
         if not 0.0 <= s <= self.cfg.length:
             raise ValueError("position outside the road")
+        self._stack.resort()
         (vid,) = self._add_vehicles(
             s=[s], lane=[lane], v=[speed], v0=[desired_speed],
             equip_u=[-math.inf if equipped else math.inf],
@@ -450,9 +468,21 @@ class DirectionState:
         road's penetration; a new array, not a view."""
         return self.equip_u < self.cfg.equipped_fraction
 
+    def equipped_rows(self) -> np.ndarray:
+        """Rows of this direction's equipped vehicles, in (s, vid) order.
+
+        The subset is sorted only if its s does not strictly ascend, so a
+        subset already in order, as on one lane, costs one comparison.
+        """
+        rows = np.flatnonzero(self.equipped)
+        s = self.s[rows]
+        if np.any(s[1:] <= s[:-1]):
+            rows = rows[np.lexsort((self.vid[rows], s))]
+        return rows
+
     def _add_vehicles(self, **new) -> np.ndarray:
         """Put vehicles given by their s, lane, v, v0 and equip_u values
-        into this direction's block, in (s, vid) order.
+        into this direction's block (see _Stack.insert).
 
         They get fresh vids, prev_s = s, a smoothed speed of v and no
         congestion flag.  Returns the new vids.
@@ -495,6 +525,12 @@ class TrafficSim:
     insertion reads each lane's rearmost row from the lane column.  State
     hooks run after motion and lane changes but before exit removal and
     insertion, so prev_s/s are aligned for every vehicle the hook sees.
+
+    Only the lane pass and the audit need the full (s, vid) order, so the
+    step re-sorts only before them; every other phase works row by row or
+    through the leader map, which names vehicles, not positions.
+    state(k) restores the order before it returns; directions[k] is the
+    same object without that re-sort, for readers that find rows by vid.
     """
 
     def __init__(self, cfg: RoadConfig, seed: int):
@@ -508,6 +544,8 @@ class TrafficSim:
         self._mobil_every = max(1, round(cfg.mobil.interval / cfg.dt))
 
     def state(self, direction: int) -> DirectionState:
+        """The direction's state, with the stack in (s, vid) order."""
+        self._stack.resort()
         return self.directions[direction]
 
     def add_probe(self, x: float, direction: int) -> CrossingProbe:
@@ -612,9 +650,7 @@ class TrafficSim:
     def _remove_exited(self):
         s, length = self._stack.cols["s"], self.cfg.length
         n1, n = self._stack.bounds[1], self._stack.n
-        # each block is in s order, so only a block whose top row is past
-        # the end loses rows
-        if not ((n1 and s[n1 - 1] > length) or (n > n1 and s[n - 1] > length)):
+        if not n or s.max() <= length:
             return
         gone = s > length
         gone1 = int(np.count_nonzero(gone[:n1]))
@@ -629,13 +665,15 @@ class TrafficSim:
         lead = self._stack.lane_split()[1]
         self._advance(self._accel(lead, self._effective_headway()), dt)
         # With no pair of the pre-move leader map closer than a vehicle
-        # length, every lane keeps its order, so the re-sorted rows pair the
-        # same vehicles and the audit could find nothing, unless a lane
-        # change moved a row.
+        # length, every lane keeps its order, so the rows need no re-sort
+        # and the audit could find nothing, unless a lane change moved a
+        # row.  The lane pass and the audit read the full (s, vid) order.
         s = self._stack.cols["s"]
         overlap = np.any((s[lead] - s < self.cfg.idm.vehicle_length) & (lead >= 0))
-        self._stack.resort()
-        changed = self.step_count % self._mobil_every == 0 and self._lane_pass()
+        lane_step = self.step_count % self._mobil_every == 0
+        if overlap or lane_step:
+            self._stack.resort()
+        changed = lane_step and self._lane_pass()
         if overlap or changed:
             self._check_collisions(t_new)
         for p in self.probes:

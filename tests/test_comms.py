@@ -148,6 +148,22 @@ class TestHopSelection:
         (rec,) = engine.records
         assert rec.relay_vid == near
 
+    def test_relay_tie_while_rows_are_out_of_order(self):
+        """Two relays in different lanes, 1 m either side of the source, on
+        a step off the lane pass just after the faster one passed the
+        other, so direction 2's rows are out of (s, vid) order.  The tie
+        goes to the relay furthest upstream, first in x order."""
+        sim, engine = scene(n_lanes=2)
+        src = put(sim, 1, 4979.0, speed=20.0)
+        slow = put(sim, 2, 5000.0, speed=20.0, lane=0)
+        fast = put(sim, 2, 5003.0, speed=30.0, lane=1)
+        drive(sim, engine, 0.25)  # lane-pass step: the fast relay still behind
+        engine._new_message(KIND_LANDMARK, src, 4984.0, sim.t)
+        drive(sim, engine, 0.25)  # relays at x = 4990 and 4988, source at 4989
+        assert sim.directions[2].vid.tolist() == [fast, slow]
+        assert engine.tau1_samples == [0.25]
+        assert engine._active[0].relay_vid == fast
+
     def test_unequipped_relay_is_invisible(self):
         sim, engine = scene()
         src = put(sim, 1, 5000.0)
@@ -175,6 +191,25 @@ class TestReceiverSelection:
         assert engine.records[0].receiver_vid == ahead
         # single-delivery mode never hands the message to the second vehicle
         assert all(d.receiver_vid == ahead for d in engine.deliveries)
+
+    def test_receiver_tie_while_rows_are_out_of_order(self):
+        """Two receivers in different lanes reach x = 4850 together on a
+        step off the lane pass, the later-placed one from behind, so
+        direction 1's rows are out of (s, vid) order.  Of a tie in x the
+        receiver with the larger vid, last in (s, vid) order, takes it."""
+        sim, engine = scene(n_lanes=2, radio=CommParams(r=200.0, r_min=1.0))
+        src = put(sim, 1, 5000.0, speed=20.0)
+        put(sim, 2, 5010.0, speed=20.0)
+        first = put(sim, 1, 4840.0, speed=20.0, lane=0)
+        second = put(sim, 1, 4835.0, speed=30.0, lane=1)
+        drive(sim, engine, 0.25)  # lane-pass step: the faster one still behind
+        engine._new_message(KIND_LANDMARK, src, 5005.0, sim.t)
+        drive(sim, engine, 0.25)  # hop, reach-in and delivery in one step
+        assert sim.directions[1].vid.tolist() == [second, first, src]
+        (rec,) = engine.records
+        assert (rec.tau1, rec.tau2, rec.tau3) == (0.25, 0.25, 0.25)
+        assert rec.receiver_vid == second
+        assert rec.delivery_position == 4850.0
 
     def test_jam_detection_delivers_to_every_receiver(self):
         engine, ahead, behind = self.geometry(jam_detection=True)

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -223,19 +224,77 @@ def assert_split_is_fresh(sim) -> bool:
     return True
 
 
+def assert_lanes_ascend(sim):
+    """Check that each road lane's rows ascend in (s, vid), whatever the
+    order of the lanes in a block."""
+    stack = sim._stack
+    s, vid, lanes = stack.cols["s"], stack.cols["vid"], stack.road_lanes()
+    for k in range(2 * sim.cfg.n_lanes):
+        m = np.flatnonzero(lanes == k)
+        ds, dvid = np.diff(s[m]), np.diff(vid[m])
+        assert np.all((ds > 0.0) | ((ds == 0.0) & (dvid > 0))), k
+
+
+def assert_state_is_in_order(sim) -> bool:
+    """Check that sim.state(k) hands out each block in lexsort_reference
+    order, on a copy, so the sim's rows stay where its step left them;
+    return whether they were out of that order."""
+    perm = lexsort_reference(sim._stack)
+    ordered = copy.deepcopy(sim)
+    for k in (1, 2):
+        d, rows = ordered.state(k), slice(*sim._stack.bounds[k - 1:k + 1])
+        for name in dict(_COLUMNS):
+            assert np.array_equal(getattr(d, name), sim._stack.cols[name][perm][rows]), name
+    return not np.array_equal(perm, np.arange(perm.size))
+
+
 class TestLaneSplit:
     @pytest.mark.parametrize("n_lanes", [1, 2, 3])
     def test_kept_split_is_fresh_after_every_step(self, n_lanes):
+        """Also pins the stack's invariant between steps: each lane in
+        order, the lanes of a block interleaved only on several lanes."""
         sim = TrafficSim(RoadConfig(length=3000.0, n_lanes=n_lanes), seed=5)
         steps = 1200
         kept = 0
+        interleaved = 0
         for _ in range(steps):
             sim.step()
             kept += assert_split_is_fresh(sim)
+            assert_lanes_ascend(sim)
+            interleaved += assert_state_is_in_order(sim)
         for d in sim.directions.values():
             assert d.inserted > 0 and d.exited > 0
             assert (d.lane_changes > 0) == (n_lanes > 1)
         assert kept > steps // 4
+        assert (interleaved > 0) == (n_lanes > 1)
+
+    def test_resort_only_before_a_lane_pass_or_an_audit(self, monkeypatch):
+        """A step re-sorts once if it runs the lane pass or its overlap
+        check flags a pair (then the audit runs), and otherwise not at all.
+        Off the lane pass the audit runs only on a flagged step."""
+        resorted, audited = [], []
+        resort, audit = _Stack.resort, TrafficSim._check_collisions
+
+        def counting_resort(stack):
+            resorted.append(sim.step_count)
+            return resort(stack)
+
+        def counting_audit(self, t):
+            audited.append(self.step_count)
+            return audit(self, t)
+
+        monkeypatch.setattr(_Stack, "resort", counting_resort)
+        monkeypatch.setattr(TrafficSim, "_check_collisions", counting_audit)
+        sim = TrafficSim(RoadConfig(length=3000.0, n_lanes=2), seed=5)
+        steps = 1200
+        for _ in range(steps):
+            sim.step()
+        per_step = np.bincount(resorted, minlength=steps)
+        flagged = np.bincount(audited, minlength=steps) > 0
+        lane_pass = np.arange(steps) % sim._mobil_every == 0
+        assert per_step.max() == 1
+        assert np.array_equal(per_step > 0, lane_pass | flagged)
+        assert per_step.sum() < steps // 2
 
     def test_one_split_build_per_step_off_the_lane_pass(self, monkeypatch):
         """The split is built once, at the end of a step, for the next
@@ -302,6 +361,23 @@ class TestProbesAndDetectors:
         assert len(second) == 1
         assert second[0][4] == -math.inf  # the equipped trailer's draw
         assert first[0][1] != second[0][1]
+
+    def test_one_steps_crossings_in_s_vid_order(self):
+        """Two vehicles in different lanes cross the probe in one step, a
+        step after the faster one passed the other off the lane pass, so
+        their rows are out of (s, vid) order; the probe writes the rear one
+        first."""
+        sim = quiet_sim(n_lanes=2)
+        d = sim.state(1)
+        slow = d.seed_vehicle(x=5000.0, lane=0, speed=20.0, desired_speed=20.0)
+        fast = d.seed_vehicle(x=4997.0, lane=1, speed=30.0, desired_speed=30.0)
+        probe = sim.add_probe(5006.0, 1)
+        sim.step()  # lane-pass step: re-sorted, the fast one still behind
+        sim.step()  # passed: s = 5010 and 5012, rows not re-sorted
+        assert sim.directions[1].vid.tolist() == [fast, slow]
+        assert probe.drain() == [
+            (0.5, slow, 0, 20.0, math.inf), (0.5, fast, 1, 30.0, math.inf),
+        ]
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     def test_hand_placed_equipment_holds_at_any_penetration(self, alpha):
@@ -610,6 +686,50 @@ class TestStackOrder:
         assert d.vid[1] == new and d.vid[3] == mid
         stack = sim._stack
         assert np.array_equal(lexsort_reference(stack), np.arange(stack.n))
+
+    def test_arrival_beside_a_row_still_at_the_entry(self):
+        """An arrival joins lane 1 while lane 0 holds a row still at s = 0
+        and the block's lanes interleave: it goes before the first row
+        above 0, each lane stays in order, and the re-sort gives the rows
+        that an insert into the ordered block gives."""
+        rows = {
+            "s": np.zeros(1), "prev_s": np.zeros(1), "v": [9.0], "v0": [30.0],
+            "lane": [1], "vid": [8], "equip_u": [0.5],
+            "ema_speed": [9.0], "congested": [False],
+        }
+        blocks = {
+            "interleaved": [(30.0, 0, 1), (0.0, 2, 0), (20.0, 4, 0)],
+            "ordered": [(0.0, 2, 0), (20.0, 4, 0), (30.0, 0, 1)],
+        }
+        got = {}
+        for name, block in blocks.items():
+            stack = make_stack([(s, vid) for s, vid, _ in block], [(40.0, 1)])
+            stack.cols["lane"][:3] = [lane for _, _, lane in block]
+            stack.insert(1, rows)
+            got[name] = stack
+        interleaved, ordered = got["interleaved"], got["ordered"]
+        assert interleaved.cols["vid"].tolist() == [8, 0, 2, 4, 1]
+        assert ordered.cols["vid"].tolist() == [2, 8, 4, 0, 1]
+        assert np.array_equal(lexsort_reference(ordered), np.arange(ordered.n))
+        interleaved.resort()
+        for name in dict(_COLUMNS):
+            if name != "v":  # make_stack's storage tags
+                assert np.array_equal(interleaved.cols[name], ordered.cols[name]), name
+
+    def test_placing_a_vehicle_between_lane_passes(self):
+        """seed_vehicle re-sorts first: placed in lane 0 just below a lane-1
+        row that has passed lane 0's top row off the lane pass, it lands
+        after that lane-0 row."""
+        sim = quiet_sim(n_lanes=2)
+        d = sim.state(1)
+        slow = d.seed_vehicle(x=5000.0, lane=0, speed=20.0, desired_speed=20.0)
+        fast = d.seed_vehicle(x=4994.0, lane=1, speed=40.0, desired_speed=40.0)
+        sim.step()
+        sim.step()  # s = 5010 and 5014, rows not re-sorted
+        assert sim.directions[1].vid.tolist() == [fast, slow]
+        new = d.seed_vehicle(x=5013.0, lane=0, speed=20.0, desired_speed=20.0)
+        assert sim.directions[1].vid.tolist() == [slow, new, fast]
+        assert_lanes_ascend(sim)
 
     def test_arrivals_in_several_lanes_share_the_entry(self):
         stack = make_stack([(0.0, 0), (50.0, 2)], [(0.0, 1)])
